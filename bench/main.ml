@@ -427,35 +427,29 @@ let dur_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "shadowdb-bench-dur-%d-%d-%s" (Unix.getpid ()) !n name)
 
-(* The same cluster as a real socket deployment over loopback TCP:
+(* The same cluster as a real deployment on the event-loop runtime:
    committed transactions per wall-clock second plus p50/p99 commit
-   latency, on either socket runtime ([`Live] thread-per-node, [`Loop]
-   single-reactor event loop). [dur_group_commit] additionally journals
-   every applied batch through the file WAL backend, syncing after that
-   many records — 1 is fsync-per-commit, larger windows are group
-   commit. *)
+   latency. [dur_group_commit] additionally journals every applied batch
+   through the file WAL backend, syncing after that many records — 1 is
+   fsync-per-commit, larger windows are group commit. *)
 (* One timed deployment of the socket-runtime SMR bank. The clock runs
    from [start] to client completion; the GC is quiesced first so a
    major slice from earlier phases doesn't land inside a
    single-digit-millisecond window. *)
-let measure_socket_once ?dur_group_commit rt () =
+let measure_socket_once ?dur_group_commit () =
   let codec =
     Sdb.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
       ~dec_core:Shadowdb.Codec.decode_core_paxos
   in
-  let live =
-    match rt with
-    | `Live -> Runtime.Driver.live ~codec ()
-    | `Loop -> Runtime.Driver.loop ~codec ()
-  in
-  let world = live.Runtime.Driver.world in
+  let loop = Runtime.Loop.create ~codec () in
+  let world = Runtime.Loop.runtime loop in
   let mu = Mutex.create () in
   let commits = ref 0 in
   let latencies = Stats.Sample.create () in
   let durability =
     Option.map
       (fun gc ->
-        let base = dur_dir (Printf.sprintf "live-gc%d" gc) in
+        let base = dur_dir (Printf.sprintf "loop-gc%d" gc) in
         {
           Sdb.dur_backend =
             (fun i ->
@@ -494,13 +488,12 @@ let measure_socket_once ?dur_group_commit rt () =
      single-digit milliseconds. *)
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  live.Runtime.Driver.start ();
+  Runtime.Loop.start loop;
   let finished =
-    live.Runtime.Driver.await ~timeout:120.0 (fun () ->
-        completed () >= n_clients)
+    Runtime.Loop.await ~timeout:120.0 loop (fun () -> completed () >= n_clients)
   in
   let wall = Unix.gettimeofday () -. t0 in
-  live.Runtime.Driver.stop ();
+  Runtime.Loop.stop loop;
   let txns =
     if (not finished) || wall <= 0.0 then nan
     else float_of_int !commits /. wall
@@ -514,26 +507,22 @@ let measure_socket_once ?dur_group_commit rt () =
    quick run finishes in milliseconds, so a stolen timeslice on a small
    machine easily halves one trial's figure; the max over a handful of
    trials is a far better estimate of what the runtime sustains, at
-   negligible cost. Applied identically to both socket runtimes. *)
-let measure_socket ?dur_group_commit rt () =
+   negligible cost. *)
+let measure_socket ?dur_group_commit () =
   match dur_group_commit with
-  | Some _ -> measure_socket_once ?dur_group_commit rt ()
+  | Some _ -> measure_socket_once ?dur_group_commit ()
   | None ->
-      let best = ref (measure_socket_once rt ()) in
+      let best = ref (measure_socket_once ()) in
       for _ = 2 to 5 do
-        let ((t, _, _) as m) = measure_socket_once rt () in
+        let ((t, _, _) as m) = measure_socket_once () in
         let bt, _, _ = !best in
         if (not (Float.is_nan t)) && (Float.is_nan bt || t > bt) then best := m
       done;
       !best
 
-let measure_live ?dur_group_commit () =
-  let t, _, _ = measure_socket ?dur_group_commit `Live () in
-  t
-
-(* ns per frame through the shared wire framing: append one encoded frame
-   into a reused buffer and parse it back out — the per-message data-
-   plane work both socket runtimes do besides the syscall. *)
+(* ns per frame through the wire framing: append one encoded frame into
+   a reused buffer and parse it back out — the per-message data-plane
+   work the socket runtime does besides the syscall. *)
 let measure_frame_ns () =
   let payload = String.make 200 'p' in
   let buf = Runtime.Frame.create 65536 in
@@ -670,13 +659,12 @@ let run_trajectory () =
   print_endline "########################################################";
   let events_per_sec, sim_txns = measure_sim () in
   let shard_pts = sharding_curve () in
-  let live_txns, live_p50, live_p99 = measure_socket `Live () in
-  let loop_txns, loop_p50, loop_p99 = measure_socket `Loop () in
+  let loop_txns, loop_p50, loop_p99 = measure_socket () in
   let frame_ns = measure_frame_ns () in
   let check_rates = measure_check () in
   let wal_mb_s = measure_wal_append () in
-  let live_fsync = measure_live ~dur_group_commit:1 () in
-  let live_group = measure_live ~dur_group_commit:8 () in
+  let loop_fsync, _, _ = measure_socket ~dur_group_commit:1 () in
+  let loop_group, _, _ = measure_socket ~dur_group_commit:8 () in
   let recovery_ms = measure_recovery () in
   let conform_events_s, conform_codec_mb_s = measure_conform () in
   Stats.Table.print_table ~title:"perf trajectory"
@@ -685,19 +673,14 @@ let run_trajectory () =
        [ "sim engine events/s (wall)"; Stats.Table.fmt_f events_per_sec ];
        [ "tob txns/s (sim, virtual)"; Stats.Table.fmt_f sim_txns ];
        [
-         "tob txns/s (live, wall)";
-         Printf.sprintf "%s (p50 %.2f ms, p99 %.2f ms)"
-           (Stats.Table.fmt_f live_txns) live_p50 live_p99;
-       ];
-       [
          "tob txns/s (loop, wall)";
          Printf.sprintf "%s (p50 %.2f ms, p99 %.2f ms)"
            (Stats.Table.fmt_f loop_txns) loop_p50 loop_p99;
        ];
        [ "frame ns/frame (append+drain)"; Stats.Table.fmt_f frame_ns ];
        [ "wal append MB/s (file)"; Stats.Table.fmt_f wal_mb_s ];
-       [ "tob txns/s (live, fsync/commit)"; Stats.Table.fmt_f live_fsync ];
-       [ "tob txns/s (live, group commit 8)"; Stats.Table.fmt_f live_group ];
+       [ "tob txns/s (loop, fsync/commit)"; Stats.Table.fmt_f loop_fsync ];
+       [ "tob txns/s (loop, group commit 8)"; Stats.Table.fmt_f loop_group ];
        [ "recovery ms / 10k records"; Stats.Table.fmt_f recovery_ms ];
        [ "conform check events/s"; Stats.Table.fmt_f conform_events_s ];
        [ "conform trace codec MB/s"; Stats.Table.fmt_f conform_codec_mb_s ];
@@ -718,11 +701,10 @@ let run_trajectory () =
   ( events_per_sec,
     sim_txns,
     shard_pts,
-    (live_txns, live_p50, live_p99),
     (loop_txns, loop_p50, loop_p99),
     frame_ns,
     check_rates,
-    (wal_mb_s, live_fsync, live_group, recovery_ms),
+    (wal_mb_s, loop_fsync, loop_group, recovery_ms),
     (conform_events_s, conform_codec_mb_s) )
 
 let () =
@@ -735,11 +717,10 @@ let () =
       let ( events_per_sec,
             sim_txns,
             shard_pts,
-            (live_txns, live_p50, live_p99),
             (loop_txns, loop_p50, loop_p99),
             frame_ns,
             check_rates,
-            (wal_mb_s, live_fsync, live_group, recovery_ms),
+            (wal_mb_s, loop_fsync, loop_group, recovery_ms),
             (conform_events_s, conform_codec_mb_s) ) =
         run_trajectory ()
       in
@@ -774,20 +755,12 @@ let () =
                          ("cross_shard_aborted", Json.num (float_of_int xa));
                        ])
                    shard_pts) );
-            ( "live",
-              Json.Obj
-                [
-                  ("tob_txns_per_sec", Json.num live_txns);
-                  ("latency_p50_ms", Json.num live_p50);
-                  ("latency_p99_ms", Json.num live_p99);
-                ] );
             ( "live_loop",
               Json.Obj
                 [
                   ("tob_txns_per_sec", Json.num loop_txns);
                   ("latency_p50_ms", Json.num loop_p50);
                   ("latency_p99_ms", Json.num loop_p99);
-                  ("speedup_vs_live", Json.num (loop_txns /. live_txns));
                 ] );
             ("frame", Json.Obj [ ("ns_per_frame", Json.num frame_ns) ]);
             ( "check_schedules_per_sec",
@@ -797,8 +770,8 @@ let () =
               Json.Obj
                 [
                   ("wal_append_mb_per_sec", Json.num wal_mb_s);
-                  ("live_txns_per_sec_fsync_per_commit", Json.num live_fsync);
-                  ("live_txns_per_sec_group_commit_8", Json.num live_group);
+                  ("loop_txns_per_sec_fsync_per_commit", Json.num loop_fsync);
+                  ("loop_txns_per_sec_group_commit_8", Json.num loop_group);
                   ("recovery_ms_per_10k_records", Json.num recovery_ms);
                 ] );
             ( "conform",

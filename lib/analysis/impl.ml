@@ -10,7 +10,6 @@
 (* The with-lock helpers the call graph tags critical sections for. *)
 let lock_helpers =
   [
-    "Runtime.Live.locked";
     "Runtime.Loop.locked";
     "Conform.Online.locked";
     "Conform.Recorder.locked";
@@ -53,8 +52,7 @@ let loop_blocking : Impl_blocking.config =
 let runtime_locks : Impl_locks.config =
   {
     helpers = lock_helpers;
-    dispatchers =
-      [ "Runtime.Loop.dispatch"; "Runtime.Loop.deliver"; "Runtime.Live.dispatch" ];
+    dispatchers = [ "Runtime.Loop.dispatch"; "Runtime.Loop.deliver" ];
   }
 
 let durable_ordering : Impl_durable.config =

@@ -1,22 +1,22 @@
 (* The lightweight online conformance monitor.
 
-   An in-process tap for live/loop clusters that checks, while the
+   An in-process tap for event-loop clusters that checks, while the
    system runs, the two properties cheap enough to verify inline:
 
    - per-link FIFO: message digests are queued at [Ob_send] and checked
      off in order at the matching [Recv] dispatch — the channel
      assumption every protocol here makes, verified end-to-end through
-     whatever transport the runtime uses (the loop runtime's internal
-     recorder checks its own delivery path; this one is
-     runtime-agnostic);
+     whatever transport the runtime uses;
    - fingerprint agreement: every sampled state checkpoint at total-order
      position s must carry the hash every other replica reported there.
 
    Digests are [Hashtbl.hash] of the decoded message — collisions can
-   mask a violation, never invent one. The FIFO leg assumes a crash-free
-   run (messages in flight to a crashed node are legitimately lost); on
-   [Ob_crash] the crashed node's inbound digest queues are forgotten,
-   mirroring the loop runtime's recorder. *)
+   mask a violation, never invent one. Messages to a crashed node are
+   legitimately lost: those in flight at [Ob_crash], and those sent while
+   it is down ([Ob_send] is observed before the runtime drops a send to a
+   dead node). So the node's inbound digest queues are forgotten on both
+   [Ob_crash] and [Ob_restart]; its outbound queues stay, since frames it
+   sent before dying are still delivered. *)
 
 type t = {
   mu : Mutex.t;
@@ -90,11 +90,10 @@ let tap (t : t) : 'm Runtime.tap =
                       node %d had %x"
                      seqno self hash n0 h0)
               end)
-  | Runtime.Ob_crash ->
+  | Runtime.Ob_crash | Runtime.Ob_restart ->
       locked t (fun () ->
           Hashtbl.iter (fun (_, d) q -> if d = self then Queue.clear q) t.links)
-  | Runtime.Ob_input (Runtime.Init | Runtime.Timer _)
-  | Runtime.Ob_deliver _ | Runtime.Ob_restart ->
+  | Runtime.Ob_input (Runtime.Init | Runtime.Timer _) | Runtime.Ob_deliver _ ->
       ()
 
 let checked t = locked t (fun () -> t.checked)

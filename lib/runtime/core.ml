@@ -5,7 +5,7 @@
    interface a node has to the world hosting it — send a message, arm or
    cancel a timer, account CPU work, read the clock — so the same handler
    runs unchanged on the deterministic simulator ({!Of_sim}) and on a
-   real socket deployment ({!Live}). This mirrors the paper's deployment
+   real socket deployment ({!Loop}). This mirrors the paper's deployment
    story: one spec-faithful state machine, model-checked in a controlled
    environment and executed on a physical cluster. *)
 
@@ -35,37 +35,32 @@ type 'm ctx = {
   ctx_set_timer : float -> string -> int;
   ctx_cancel_timer : int -> unit;
   ctx_charge : float -> unit;
-  ctx_trace : string -> unit;
   ctx_observe : ('m obs -> unit) option;
       (** Conformance observation sink; [None] (the default) keeps the
           hot path a single branch per observation site. *)
 }
 (** What a node may do while processing an input. On the simulator these
     capabilities map to {!Sim.Engine}'s handler operations (virtual time,
-    charged CPU extending the busy period); on the live runtime they map
+    charged CPU extending the busy period); on the socket runtime they map
     to sockets and the monotonic wall clock, and [charge] is recorded but
     costs nothing — real CPU time is already real. *)
 
 type 'm handler = 'm ctx -> 'm input -> unit
 
-type kind = Sim | Live | Loop
-
 type 'm t = {
-  rt_kind : kind;
   rt_spawn :
     name:string -> cpu_factor:float -> (unit -> 'm handler) -> Sim.Node_id.t;
   rt_now : unit -> float;
 }
 (** A runtime instance exchanging messages of type ['m]. Inputs are only
     delivered once the instance is driven ([Sim.Engine.run] /
-    {!Live.start}), so spawners may wire mutual references between nodes
+    {!Loop.start}), so spawners may wire mutual references between nodes
     after spawning and before anything executes. *)
 
 type 'm codec = { enc : 'm -> string; dec : string -> ('m, string) result }
 (** Wire format for ['m], required by runtimes that move bytes between
     address spaces. [dec] must reject truncated or corrupt buffers. *)
 
-let kind t = t.rt_kind
 let now t = t.rt_now ()
 
 let spawn t ~name ?(cpu_factor = 1.0) factory =
@@ -80,7 +75,6 @@ let send c ?(size = 64) dst m = c.ctx_send ~size dst m
 let set_timer c delay tag = c.ctx_set_timer delay tag
 let cancel_timer c id = c.ctx_cancel_timer id
 let charge c seconds = c.ctx_charge seconds
-let trace c line = c.ctx_trace line
 
 (* Conformance observation. [observing] lets protocol code skip expensive
    observation arguments (state fingerprints) when nothing listens. *)
@@ -91,9 +85,9 @@ let observe c ob = match c.ctx_observe with None -> () | Some f -> f ob
 type 'm tap = self:Sim.Node_id.t -> now:float -> 'm obs -> unit
 (** A runtime-level observation sink: every observable step of every node,
     stamped with the observing node and its clock. Attached at runtime
-    construction ([Of_sim.of_engine ?tap], [Live.create ?tap],
-    [Loop.create ?tap]); a tap must be cheap and, on threaded runtimes,
-    thread-safe — it runs inline on the dispatching thread. *)
+    construction ([Of_sim.of_engine ?tap], [Loop.create ?tap]); a tap
+    must be cheap and thread-safe — it runs inline on the dispatching
+    thread. *)
 
 let tap_all (taps : 'm tap list) : 'm tap =
  fun ~self ~now ob -> List.iter (fun t -> t ~self ~now ob) taps

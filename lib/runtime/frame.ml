@@ -1,11 +1,10 @@
-(* Wire framing shared by the socket runtimes.
+(* Wire framing for the socket runtime.
 
-   Both live runtimes ({!Live}, thread-per-node; {!Loop}, single-process
-   reactor) exchange length-prefixed frames: a 5-byte header — 4-byte
-   big-endian payload length ∥ 1-byte source node id — followed by the
-   codec-encoded payload. The one-byte source id caps a deployment at
-   {!max_src}+1 wire-visible nodes, far above anything the local runtimes
-   host, and shaves the per-message overhead the old 8-byte header paid.
+   The event-loop runtime ({!Loop}) exchanges length-prefixed frames: a
+   5-byte header — 4-byte big-endian payload length ∥ 1-byte source node
+   id — followed by the codec-encoded payload. The one-byte source id
+   caps a deployment at {!max_src}+1 wire-visible nodes, far above
+   anything the local runtime hosts, and shaves the per-message overhead the old 8-byte header paid.
 
    The module's working type, {!buf}, is a growable byte window with a
    head offset: appends land at the tail with no per-frame allocation,

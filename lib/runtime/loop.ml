@@ -1,15 +1,14 @@
 (* The event-loop runtime: every node of a deployment multiplexed over
    one reactor.
 
-   Where {!Live} gives each node a thread and a syscall per message, this
-   runtime runs the whole deployment single-process on one reactor
+   This runtime runs the whole deployment single-process on one reactor
    thread: all listeners, inbound connections and outbound sockets sit in
    a single [Unix.select], the timeout computed from the root of a timer
    wheel of pending node timers (no fixed tick), and sends go through
    bounded per-destination {!Outbox}es of already-encoded {!Frame}s that
    are flushed as one coalesced batch per readiness event. Protocol code
-   is unchanged: the same wire path (codec encode → framed byte stream →
-   codec decode) as {!Live}, minus the thread switches and per-frame
+   is unchanged: messages take a real wire path (codec encode → framed
+   byte stream → codec decode) with no per-node threads and no per-frame
    syscalls.
 
    Delivery is sink-polymorphic. A destination that lives in this
@@ -22,7 +21,7 @@
    socket (or all of them, with [~direct:false]) get a *socket* sink:
    the identical buffer is flushed as one coalesced [Unix.write]. Either
    way frames take the same encode → outbox → drain path, so FIFO,
-   backpressure and conformance recording behave identically.
+   backpressure and the conformance tap behave identically.
 
    Connection multiplexing: outbound connections are keyed by
    *destination*, not (source, destination) — every local node sending to
@@ -38,13 +37,7 @@
    surfaced through [on_backpressure], and producers resume once a flush
    drains the queue below the low watermark. A producer can overshoot the
    watermark only by what one handler dispatch emits, so queues stay
-   bounded without dropping or reordering frames.
-
-   Optional conformance recording ([record_delivery]): because both
-   endpoints of every link live in this process, the runtime can remember
-   a digest of each payload at append time and check it off at delivery —
-   an end-to-end per-link FIFO/integrity monitor over the real wire path,
-   used by the chaos drill and the saturation tests. *)
+   bounded without dropping or reordering frames. *)
 
 module F = Frame
 
@@ -171,7 +164,6 @@ type 'm t = {
   mutable thread : Thread.t option;
   t0 : float;
   mutable mono_last : float;
-  mutable traces : (float * Sim.Node_id.t * string) list;
   mutable errors : string list;
   high : int;
   low : int;
@@ -187,11 +179,6 @@ type 'm t = {
   mutable peak_outbox : int;
   mutable retired_writes : int;
   mutable retired_bytes : int;
-  (* Delivery recording (conformance): per-link queues of payload
-     digests pushed at append, checked off at delivery. *)
-  record : bool;
-  links : (Sim.Node_id.t * Sim.Node_id.t, int Queue.t) Hashtbl.t;
-  mutable fifo_violations : int;
 }
 
 type stats = {
@@ -203,7 +190,6 @@ type stats = {
   s_backpressure : int;  (* high-watermark engagements *)
   s_parked : int;  (* producer park events *)
   s_peak_outbox_bytes : int;
-  s_fifo_violations : int;
 }
 
 let locked t f =
@@ -221,11 +207,9 @@ let now t =
 
 let record_error t msg = locked t (fun () -> t.errors <- msg :: t.errors)
 let errors t = locked t (fun () -> List.rev t.errors)
-let get_trace t = locked t (fun () -> List.rev t.traces)
 
 let create ?(high = Outbox.default_high) ?(low = Outbox.default_low)
-    ?(direct = true) ?on_backpressure ?(record_delivery = false) ?tap ~codec ()
-    =
+    ?(direct = true) ?on_backpressure ?tap ~codec () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let wake_r, wake_w = Unix.pipe () in
@@ -255,7 +239,6 @@ let create ?(high = Outbox.default_high) ?(low = Outbox.default_low)
     thread = None;
     t0 = Unix.gettimeofday ();
     mono_last = 0.0;
-    traces = [];
     errors = [];
     high;
     low;
@@ -269,9 +252,6 @@ let create ?(high = Outbox.default_high) ?(low = Outbox.default_low)
     peak_outbox = 0;
     retired_writes = 0;
     retired_bytes = 0;
-    record = record_delivery;
-    links = Hashtbl.create 32;
-    fifo_violations = 0;
   }
 
 let stats t =
@@ -290,11 +270,9 @@ let stats t =
     s_backpressure = t.engage_events;
     s_parked = t.park_events;
     s_peak_outbox_bytes = t.peak_outbox;
-    s_fifo_violations = t.fifo_violations;
   }
 
 let backpressure_events t = t.engage_events
-let fifo_violations t = t.fifo_violations
 
 let wake t =
   try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
@@ -317,44 +295,6 @@ let make_listener () =
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---------------------------------------------------------------- *)
-(* Delivery recording                                                *)
-(* ---------------------------------------------------------------- *)
-
-let link_q t key =
-  match Hashtbl.find_opt t.links key with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.links key q;
-      q
-
-let record_sent t ~src ~dst payload =
-  if t.record then Queue.push (Hashtbl.hash payload) (link_q t (src, dst))
-
-let record_delivered t ~src ~dst payload =
-  if t.record then begin
-    let ok =
-      match Queue.take_opt (link_q t (src, dst)) with
-      | Some h -> h = Hashtbl.hash payload
-      | None -> false
-    in
-    if not ok then begin
-      t.fifo_violations <- t.fifo_violations + 1;
-      record_error t
-        (Printf.sprintf "loop: per-link FIFO violation on %d->%d" src dst)
-    end
-  end
-
-(* Frames queued for a crashed destination vanish with its sockets:
-   forget the inbound half of its links so post-restart traffic is not
-   matched against digests of lost frames. Outbound links (the crashed
-   node as source) stay: frames it appended before dying sit in shared
-   outboxes and will still be delivered. *)
-let record_crash t id =
-  if t.record then
-    Hashtbl.iter (fun (_, d) q -> if d = id then Queue.clear q) t.links
-
-(* ---------------------------------------------------------------- *)
 (* Dispatch, send, parking                                           *)
 (* ---------------------------------------------------------------- *)
 
@@ -373,8 +313,8 @@ let park t mux node =
 let find_node t id = locked t (fun () -> Hashtbl.find_opt t.by_id id)
 
 (* Dispatch an input to a node's handler, trapping handler exceptions
-   like {!Live} does. Mutually recursive with the send path because
-   unparking resumes deferred dispatches. *)
+   into the runtime's error list. Mutually recursive with the send path
+   because unparking resumes deferred dispatches. *)
 let rec dispatch t node input =
   match node.n_handler with
   | None -> ()  (* crashed: the input is lost with the process *)
@@ -416,11 +356,6 @@ and ctx_for t node =
               id);
           ctx_cancel_timer = (fun id -> Hashtbl.replace t.cancelled id ());
           ctx_charge = (fun s -> node.n_charged <- node.n_charged +. s);
-          ctx_trace =
-            (fun line ->
-              let at = node_now t node in
-              locked t (fun () ->
-                  t.traces <- (at, node.n_id, line) :: t.traces));
           ctx_observe = None;
         }
       in
@@ -439,7 +374,6 @@ and send t node dst msg =
     | None -> ()  (* unknown or crashed peer: behaves like a lost message *)
     | Some mux ->
         let payload = t.codec.Core.enc msg in
-        record_sent t ~src:node.n_id ~dst payload;
         (match Outbox.append mux.m_out ~src:node.n_id ~payload with
         | `Engaged -> (
             t.engage_events <- t.engage_events + 1;
@@ -520,7 +454,6 @@ and unpark t node =
    and socket sinks funnel into. *)
 and deliver t node ~src payload =
   t.delivered_msgs <- t.delivered_msgs + 1;
-  record_delivered t ~src ~dst:node.n_id payload;
   match t.codec.Core.dec payload with
   | Ok msg -> dispatch t node (Core.Recv { src; msg })
   | Error e ->
@@ -661,7 +594,6 @@ let do_crash t id =
         (fun _ m -> m.m_waiters <- List.filter (fun n -> n != node) m.m_waiters)
         t.muxes;
       node.n_parked <- 0;
-      record_crash t id;
       (match t.tap with
       | None -> ()
       | Some tap -> tap ~self:id ~now:(now t) Core.Ob_crash)
@@ -854,8 +786,7 @@ let spawn t ~name ~cpu_factor:_ factory =
 
 let runtime t : 'm Core.t =
   {
-    Core.rt_kind = Core.Loop;
-    rt_now = (fun () -> now t);
+    Core.rt_now = (fun () -> now t);
     rt_spawn =
       (fun ~name ~cpu_factor factory -> spawn t ~name ~cpu_factor factory);
   }
@@ -874,11 +805,8 @@ let reactor_entry t =
 
 (* Shadow the state-only constructor: a runtime is born with its parked
    reactor thread attached. *)
-let create ?high ?low ?direct ?on_backpressure ?record_delivery ?tap ~codec ()
-    =
-  let t =
-    create ?high ?low ?direct ?on_backpressure ?record_delivery ?tap ~codec ()
-  in
+let create ?high ?low ?direct ?on_backpressure ?tap ~codec () =
+  let t = create ?high ?low ?direct ?on_backpressure ?tap ~codec () in
   t.thread <- Some (Thread.create reactor_entry t);
   t
 
@@ -903,7 +831,7 @@ let stop t =
 
 (* Run a crash/restart command: synchronously when the reactor is not
    running, else enqueued and awaited so the caller observes a quiesced
-   node (mirroring {!Live.crash}'s join semantics). *)
+   node. *)
 let submit t cmd =
   if Atomic.get t.phase <> 1 then apply_cmd t cmd
   else begin

@@ -21,7 +21,6 @@ let ctx (ectx : 'm E.ctx) : 'm Core.ctx =
     ctx_set_timer = (fun delay tag -> E.set_timer ectx delay tag);
     ctx_cancel_timer = (fun id -> E.cancel_timer ectx id);
     ctx_charge = (fun s -> E.charge ectx s);
-    ctx_trace = (fun line -> E.trace ectx line);
     ctx_observe = None;
   }
 
@@ -30,8 +29,7 @@ let ctx (ectx : 'm E.ctx) : 'm Core.ctx =
    unobserved one does. *)
 let of_engine ?(tap : 'm Core.tap option) (e : 'm E.t) : 'm Core.t =
   {
-    Core.rt_kind = Core.Sim;
-    rt_now = (fun () -> E.now e);
+    Core.rt_now = (fun () -> E.now e);
     rt_spawn =
       (fun ~name ~cpu_factor factory ->
         E.spawn e ~name ~cpu_factor (fun () ->

@@ -199,7 +199,7 @@ let decode_reconfig s =
     s
 
 (* ------------------------------------------------------------------ *)
-(* Live-runtime wire codecs                                            *)
+(* Socket-runtime wire codecs                                          *)
 (*                                                                     *)
 (* Once a ShadowDB node runs behind a real socket, every message the   *)
 (* simulator used to pass by reference has to cross the wire: TOB      *)

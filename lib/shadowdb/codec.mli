@@ -23,7 +23,7 @@ val decode_reconfig : string -> (Config.t * int * int, string) result
 (** SMR reconfiguration request: new config, proposer's last executed
     sequence number, proposer location. *)
 
-(** {1 Live-runtime wire codecs}
+(** {1 Socket-runtime wire codecs}
 
     Full message codecs for running ShadowDB nodes over real sockets:
     broadcast entries and delivery notifications, Paxos protocol messages

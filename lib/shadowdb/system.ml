@@ -96,7 +96,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
 
   (* Wire format for the whole system: broadcast-service traffic, delivery
      notifications and database replication messages share one socket per
-     link on the live runtime. [enc_core]/[dec_core] serialize the
+     link on the socket runtime. [enc_core]/[dec_core] serialize the
      consensus core's protocol messages — for Paxos over TOB batches use
      {!Codec.encode_core_paxos} / {!Codec.decode_core_paxos}. *)
   let wire_codec ~enc_core ~dec_core : wire R.codec =

@@ -72,7 +72,7 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     enc_core:(Broadcast.Tob.batch C.msg -> string) ->
     dec_core:(string -> (Broadcast.Tob.batch C.msg, string) result) ->
     wire Runtime.codec
-  (** Byte codec for {!wire}, required by the live socket runtime.
+  (** Byte codec for {!wire}, required by the socket runtime.
       [enc_core]/[dec_core] serialize the consensus core's protocol
       messages; for [Consensus.Paxos] use {!Codec.encode_core_paxos} and
       {!Codec.decode_core_paxos}. *)

@@ -223,6 +223,21 @@ let test_online_fifo () =
   Alcotest.(check bool) "reordered link is flagged" true
     (Conform.Online.violations o2 > 0)
 
+(* Sends are observed before the runtime drops those aimed at a dead
+   node, so "b" (sent while node 1 is down) is lost, not reordered. *)
+let test_online_crash_restart () =
+  let o = Conform.Online.create () in
+  let tap = Conform.Online.tap o in
+  let send msg = tap ~self:0 ~now:0.0 (Runtime.Ob_send { dst = 1; msg }) in
+  send "a";
+  tap ~self:1 ~now:0.1 Runtime.Ob_crash;
+  send "b";
+  tap ~self:1 ~now:0.2 Runtime.Ob_restart;
+  send "c";
+  tap ~self:1 ~now:0.3 (Runtime.Ob_input (Runtime.Recv { src = 0; msg = "c" }));
+  Alcotest.(check (list string)) "sends lost to a dead node are not violations"
+    [] (Conform.Online.messages o)
+
 let test_online_agreement () =
   let o = Conform.Online.create () in
   let tap : string Runtime.tap = Conform.Online.tap o in
@@ -311,6 +326,8 @@ let () =
       ( "online",
         [
           Alcotest.test_case "per-link FIFO" `Quick test_online_fifo;
+          Alcotest.test_case "per-link FIFO across crash/restart" `Quick
+            test_online_crash_restart;
           Alcotest.test_case "fingerprint agreement" `Quick
             test_online_agreement;
         ] );

@@ -2,16 +2,16 @@
 
    The same handlers — written once against the Runtime capability
    records — must behave identically whether hosted on the deterministic
-   simulator (Of_sim), on the thread-per-node live socket runtime (Live),
-   or on the single-reactor event-loop runtime (Loop). The suite
-   exercises the generic process shell on all substrates, checks Of_sim
+   simulator (Of_sim) or on the single-reactor event-loop runtime (Loop),
+   with direct in-process sinks or over loopback sockets. The suite
+   exercises the generic process shell on both substrates, checks Of_sim
    keeps the simulator deterministic, runs the acceptance scenario — a
    3-node Paxos-backed SMR bank cluster with ≥100 transactions
-   end-to-end, wall-clock p50/p99 — on both socket runtimes, drills
-   crash/restart and outbox saturation (backpressure, bounded memory,
-   no loss, per-link FIFO) under the loop runtime, and finishes with the
-   cross-runtime conformance check: the same workload on Live and Loop
-   must commit to identical database fingerprints. *)
+   end-to-end, wall-clock p50/p99 — drills crash/restart and outbox
+   saturation (backpressure, bounded memory, no loss, per-link FIFO
+   checked by the online conformance monitor), and finishes with the
+   recorded differential: the same workload on the simulator, loop-direct
+   and loop-socket must replay clean and agree on the final fingerprint. *)
 
 module R = Runtime
 module Engine = Sim.Engine
@@ -92,63 +92,49 @@ let int_codec =
         | None -> Error ("bad int frame: " ^ s));
   }
 
-(* The very same handlers, hosted on real sockets. *)
-let test_proc_pingpong_live () =
-  let live = R.Live.create ~codec:int_codec () in
-  let world = R.Live.runtime live in
-  let echo_count = Atomic.make 0 in
-  let final = Atomic.make (-1) in
-  let _ =
-    spawn_pingpong world ~limit:10 ~echo_count ~on_reply:(fun _ n ->
-        if n >= 10 then Atomic.set final n)
-  in
-  R.Live.start live;
-  let ok = R.Live.await ~timeout:30.0 live (fun () -> Atomic.get final >= 0) in
-  R.Live.stop live;
-  Alcotest.(check (list string)) "no runtime errors" [] (R.Live.errors live);
-  Alcotest.(check bool) "exchange finished" true ok;
-  Alcotest.(check int) "final reply" 10 (Atomic.get final);
-  Alcotest.(check int) "echo handled every message" 10 (Atomic.get echo_count)
-
-(* The same exchange again, on the event-loop runtime through the
-   uniform driver handle. [~direct:false] forces socket sinks for every
-   destination, covering the reactor's TCP flush/accept/read path (the
-   other loop tests run the default direct local delivery). *)
+(* The same exchange again, on the event-loop runtime. [~direct:false]
+   forces socket sinks for every destination, covering the reactor's TCP
+   flush/accept/read path (the other loop tests mostly run the default
+   direct local delivery). *)
 let test_proc_pingpong_loop () =
-  let d = R.Driver.loop ~direct:false ~record_delivery:true ~codec:int_codec () in
+  let online = Conform.Online.create () in
+  let loop =
+    R.Loop.create ~direct:false ~tap:(Conform.Online.tap online)
+      ~codec:int_codec ()
+  in
   let echo_count = Atomic.make 0 in
   let final = Atomic.make (-1) in
   let _ =
-    spawn_pingpong d.R.Driver.world ~limit:10 ~echo_count ~on_reply:(fun _ n ->
-        if n >= 10 then Atomic.set final n)
+    spawn_pingpong (R.Loop.runtime loop) ~limit:10 ~echo_count
+      ~on_reply:(fun _ n -> if n >= 10 then Atomic.set final n)
   in
-  d.R.Driver.start ();
-  let ok = d.R.Driver.await ~timeout:30.0 (fun () -> Atomic.get final >= 0) in
-  d.R.Driver.stop ();
-  Alcotest.(check (list string)) "no runtime errors" [] (d.R.Driver.errors ());
+  R.Loop.start loop;
+  let ok = R.Loop.await ~timeout:30.0 loop (fun () -> Atomic.get final >= 0) in
+  R.Loop.stop loop;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
   Alcotest.(check bool) "exchange finished" true ok;
   Alcotest.(check int) "final reply" 10 (Atomic.get final);
   Alcotest.(check int) "echo handled every message" 10 (Atomic.get echo_count);
-  Alcotest.(check int) "per-link FIFO clean" 0 (d.R.Driver.fifo_violations ())
+  Alcotest.(check int) "per-link FIFO clean" 0 (Conform.Online.violations online)
 
 (* ------------------------------------------------------------------ *)
-(* Acceptance: a 3-node Paxos-backed SMR bank cluster over loopback
-   TCP — ≥100 transactions end-to-end, state agreement across the
-   executing replicas, wall-clock p50/p99 — on either socket runtime
-   through the uniform driver handle.                                   *)
+(* Acceptance: a 3-node Paxos-backed SMR bank cluster on the event-loop
+   runtime — ≥100 transactions end-to-end, state agreement across the
+   executing replicas, wall-clock p50/p99.                              *)
 (* ------------------------------------------------------------------ *)
 
 let smr_codec () =
   S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
     ~dec_core:Shadowdb.Codec.decode_core_paxos
 
-(* Run the bank workload on [d] and return (commits, per-replica content
-   hashes of the executing replicas, elapsed seconds, latency sample).
-   Asserts completion, no runtime errors, and replica state agreement. *)
-let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
+(* Run the bank workload on [loop] and return (commits, per-replica
+   content hashes of the executing replicas). Asserts completion, no
+   runtime errors, and replica state agreement. *)
+let run_smr_bank loop ~label ~clients ~count =
   let rows = 1_000 in
+  let world = R.Loop.runtime loop in
   let cluster =
-    S.spawn_smr ~world:d.R.Driver.world ~registry:Workload.Bank.registry
+    S.spawn_smr ~world ~registry:Workload.Bank.registry
       ~setup:(fun db -> Workload.Bank.setup ~rows db)
       ~n_active:2 ()
   in
@@ -158,7 +144,7 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
       Alcotest.(check bool)
         (Printf.sprintf "node %d has a bound port" l)
         true
-        (d.R.Driver.port_of l <> None))
+        (R.Loop.port_of loop l <> None))
     cluster.S.smr_nodes;
   let mu = Mutex.create () in
   let commits = ref 0 in
@@ -169,8 +155,8 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
     else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
   in
   let _, completed =
-    S.spawn_clients ~world:d.R.Driver.world ~target:(S.To_smr cluster)
-      ~n:clients ~count ~make_txn ~retry_timeout:2.0
+    S.spawn_clients ~world ~target:(S.To_smr cluster) ~n:clients ~count
+      ~make_txn ~retry_timeout:2.0
       ~on_commit:(fun _now l ->
         Mutex.lock mu;
         incr commits;
@@ -179,13 +165,13 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
       ()
   in
   let t0 = Unix.gettimeofday () in
-  d.R.Driver.start ();
+  R.Loop.start loop;
   let finished =
-    d.R.Driver.await ~timeout:120.0 (fun () -> completed () >= clients)
+    R.Loop.await ~timeout:120.0 loop (fun () -> completed () >= clients)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  d.R.Driver.stop ();
-  Alcotest.(check (list string)) "no runtime errors" [] (d.R.Driver.errors ());
+  R.Loop.stop loop;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
   Alcotest.(check bool) "all clients finished" true finished;
   Alcotest.(check int) "clients completed" clients (completed ());
   Printf.printf
@@ -208,35 +194,30 @@ let run_smr_bank (d : _ R.Driver.t) ~label ~clients ~count =
   | h :: t ->
       Alcotest.(check bool) "state agreement" true (List.for_all (( = ) h) t)
   | [] -> Alcotest.fail "no replica executed");
-  (!commits, hashes, elapsed, latencies)
-
-let test_live_smr_bank () =
-  let d = R.Driver.live ~codec:(smr_codec ()) () in
-  let clients = 4 and count = 30 in
-  let commits, _, _, _ = run_smr_bank d ~label:"live" ~clients ~count in
-  Alcotest.(check bool)
-    (Printf.sprintf "at least 100 transactions committed (got %d)" commits)
-    true
-    (commits >= 100 && commits <= clients * count)
+  (!commits, hashes)
 
 let test_loop_smr_bank () =
-  let d = R.Driver.loop ~codec:(smr_codec ()) () in
+  let loop = R.Loop.create ~codec:(smr_codec ()) () in
   let clients = 4 and count = 30 in
-  let commits, _, _, _ = run_smr_bank d ~label:"loop" ~clients ~count in
+  let commits, _ = run_smr_bank loop ~label:"loop" ~clients ~count in
   Alcotest.(check bool)
     (Printf.sprintf "at least 100 transactions committed (got %d)" commits)
     true
     (commits >= 100 && commits <= clients * count)
 
 (* ------------------------------------------------------------------ *)
-(* Loop runtime: crash/restart, outbox saturation, conformance.        *)
+(* Loop runtime: crash/restart, outbox saturation.                     *)
 (* ------------------------------------------------------------------ *)
 
 (* A driver that survives the death of its peer: a heartbeat timer
    resends the current counter until the echo answers, so progress stalls
-   across the crash window and resumes after restart. *)
-let test_loop_crash_restart () =
-  let loop = R.Loop.create ~record_delivery:true ~codec:int_codec () in
+   across the crash window and resumes after restart. The online monitor
+   checks per-link FIFO across the crash, on direct and on socket sinks. *)
+let test_loop_crash_restart ~direct () =
+  let online = Conform.Online.create () in
+  let loop =
+    R.Loop.create ~direct ~tap:(Conform.Online.tap online) ~codec:int_codec ()
+  in
   let world = R.Loop.runtime loop in
   let limit = 40 in
   let progress = Atomic.make 0 in
@@ -287,8 +268,8 @@ let test_loop_crash_restart () =
     true
     (Atomic.get progress >= before);
   Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
-  Alcotest.(check int) "per-link FIFO clean across crash" 0
-    (R.Loop.fifo_violations loop)
+  Alcotest.(check (list string)) "per-link FIFO clean across crash" []
+    (Conform.Online.messages online)
 
 (* Saturate one outbox with tiny watermarks: a producer bursts far more
    bytes per dispatch than the high watermark, so backpressure must
@@ -300,8 +281,9 @@ let test_loop_outbox_saturation () =
   let burst = 2_000 and bursts = 10 in
   let total = burst * bursts in
   let signalled = Atomic.make 0 in
+  let online = Conform.Online.create () in
   let loop =
-    R.Loop.create ~high ~low ~record_delivery:true
+    R.Loop.create ~high ~low ~tap:(Conform.Online.tap online)
       ~on_backpressure:(fun ~dst:_ ~bytes:_ -> Atomic.incr signalled)
       ~codec:int_codec ()
   in
@@ -349,7 +331,7 @@ let test_loop_outbox_saturation () =
   Alcotest.(check bool) "all messages delivered" true finished;
   Alcotest.(check int) "no loss, no duplication" total (Atomic.get received);
   Alcotest.(check int) "delivered in order" 0 (Atomic.get disorder);
-  Alcotest.(check int) "per-link FIFO clean" 0 st.R.Loop.s_fifo_violations;
+  Alcotest.(check int) "per-link FIFO clean" 0 (Conform.Online.violations online);
   Alcotest.(check bool)
     (Printf.sprintf "backpressure engaged (%d times)" st.R.Loop.s_backpressure)
     true
@@ -373,38 +355,15 @@ let test_loop_outbox_saturation () =
     true
     (st.R.Loop.s_flush_writes * 2 <= st.R.Loop.s_sent_msgs)
 
-(* Cross-runtime conformance: the same deterministic closed-loop bank
-   workload on the thread-per-node and event-loop runtimes must commit to
-   identical database content fingerprints (TOB agreement end-to-end;
-   commutativity of the deposit set makes the fingerprint schedule-
-   independent, and duplicate suppression makes it retry-independent). *)
-let test_runtime_conformance () =
-  let clients = 3 and count = 20 in
-  let _, live_hashes, _, _ =
-    run_smr_bank
-      (R.Driver.live ~codec:(smr_codec ()) ())
-      ~label:"conformance/live" ~clients ~count
-  in
-  let d = R.Driver.loop ~record_delivery:true ~codec:(smr_codec ()) () in
-  let _, loop_hashes, _, _ =
-    run_smr_bank d ~label:"conformance/loop" ~clients ~count
-  in
-  Alcotest.(check int) "loop per-link FIFO clean" 0
-    (d.R.Driver.fifo_violations ());
-  match (live_hashes, loop_hashes) with
-  | lh :: _, ph :: _ ->
-      Alcotest.(check bool)
-        (Printf.sprintf "identical committed-state fingerprints (%d vs %d)" lh
-           ph)
-        true (lh = ph)
-  | _ -> Alcotest.fail "a runtime produced no executed replicas"
-
 (* Recorded cross-runtime differential: the same seeded bank workload on
-   all three runtimes, each run recorded through the conformance tap;
-   every trace must replay clean through the LoE spec and the invariant
-   monitors, and the most-advanced replica's final state fingerprint must
-   be identical across sim, live and loop (the deposit set is determined
-   by (client, seq), so the committed state is schedule-independent). *)
+   the simulator and on the event loop — once with direct in-process
+   sinks, once with every frame through a loopback socket — each run
+   recorded through the conformance tap; every trace must replay clean
+   through the LoE spec and the invariant monitors, the online monitor
+   must stay clean, and the most-advanced replica's final state
+   fingerprint must be identical across the three legs (the deposit set
+   is determined by (client, seq), so the committed state is
+   schedule-independent). *)
 
 let final_fingerprint events =
   List.fold_left
@@ -428,39 +387,39 @@ let test_recorded_differential () =
   let sim_meta = Conform.Recorder.meta sim.Conform.Record.recorder in
   Alcotest.(check bool) "sim trace conformant" true
     (Conform.Record.conformant ~meta:sim_meta sim_events);
-  (* Live and loop legs: the acceptance harness with a recorder tapped
-     into the driver. *)
-  let record_leg rt_name make_driver =
+  (* Loop legs: the acceptance harness with a recorder and the online
+     monitor tapped into the runtime. *)
+  let record_leg name ~direct =
     let meta =
-      [
-        ("workload", "bank");
-        ("rows", string_of_int rows);
-        ("runtime", rt_name);
-      ]
+      [ ("workload", "bank"); ("rows", string_of_int rows); ("runtime", "loop") ]
     in
     let r = Conform.Recorder.create ~meta () in
-    let tap = Conform.Recorder.tap r ~enc:(smr_codec ()).R.enc in
-    let d = make_driver tap in
-    let _ =
-      run_smr_bank d ~label:("differential/" ^ rt_name) ~clients ~count
+    let online = Conform.Online.create () in
+    let tap =
+      R.tap_all
+        [
+          Conform.Recorder.tap r ~enc:(smr_codec ()).R.enc;
+          Conform.Online.tap online;
+        ]
     in
+    let loop = R.Loop.create ~direct ~tap ~codec:(smr_codec ()) () in
+    let _ = run_smr_bank loop ~label:("differential/" ^ name) ~clients ~count in
     let events = Conform.Recorder.events r in
     Alcotest.(check bool)
-      (rt_name ^ " trace conformant")
+      (name ^ " trace conformant")
       true
       (Conform.Record.conformant ~meta events);
+    Alcotest.(check (list string))
+      (name ^ " online monitor clean")
+      [] (Conform.Online.messages online);
     events
   in
-  let live_events =
-    record_leg "live" (fun tap -> R.Driver.live ~tap ~codec:(smr_codec ()) ())
-  in
-  let loop_events =
-    record_leg "loop" (fun tap -> R.Driver.loop ~tap ~codec:(smr_codec ()) ())
-  in
+  let direct_events = record_leg "loop-direct" ~direct:true in
+  let socket_events = record_leg "loop-socket" ~direct:false in
   match
     ( final_fingerprint sim_events,
-      final_fingerprint live_events,
-      final_fingerprint loop_events )
+      final_fingerprint direct_events,
+      final_fingerprint socket_events )
   with
   | Some (_, a), Some (_, b), Some (_, c) ->
       Alcotest.(check bool)
@@ -480,13 +439,6 @@ let () =
           Alcotest.test_case "Of_sim is deterministic" `Quick
             test_of_sim_deterministic;
         ] );
-      ( "live",
-        [
-          Alcotest.test_case "ping-pong over loopback TCP" `Quick
-            test_proc_pingpong_live;
-          Alcotest.test_case "3-node SMR bank cluster, 120 txns" `Slow
-            test_live_smr_bank;
-        ] );
       ( "loop",
         [
           Alcotest.test_case "ping-pong on the event loop" `Quick
@@ -494,16 +446,15 @@ let () =
           Alcotest.test_case "3-node SMR bank cluster, 120 txns" `Slow
             test_loop_smr_bank;
           Alcotest.test_case "crash/restart under the event loop" `Quick
-            test_loop_crash_restart;
+            (test_loop_crash_restart ~direct:true);
+          Alcotest.test_case "crash/restart over loopback sockets" `Quick
+            (test_loop_crash_restart ~direct:false);
           Alcotest.test_case "outbox saturation: backpressure, no loss"
             `Quick test_loop_outbox_saturation;
-          Alcotest.test_case "live vs loop committed-state conformance" `Slow
-            test_runtime_conformance;
         ] );
       ( "conform",
         [
-          Alcotest.test_case
-            "recorded sim/live/loop traces replay clean, fingerprints agree"
-            `Slow test_recorded_differential;
+          Alcotest.test_case "recorded sim/loop/socket traces agree" `Slow
+            test_recorded_differential;
         ] );
     ]
