@@ -358,66 +358,6 @@ let measure_sim () =
   ( float_of_int events /. wall,
     if !last > 0.0 then float_of_int !commits /. !last else nan )
 
-(* Sharded SMR on the simulator, weak scaling: 4 closed-loop clients and
-   one 3-replica TOB group per shard, a Zipf-skewed (theta = 0.9) deposit
-   stream with a 5% transfer mix whose cross-shard fraction rides through
-   the 2PC coordinator. Virtual committed/s measures how much total
-   transaction throughput the extra independent total orders buy. *)
-let measure_sim_sharded ~shards () =
-  let world : Sdb.wire Engine.t = Engine.create ~seed:(300 + shards) () in
-  let rworld = Runtime.Of_sim.of_engine world in
-  let zipf = Workload.Zipf.create ~n:bank_rows ~theta:0.9 in
-  let commits = ref 0 in
-  let last = ref 0.0 in
-  let cluster =
-    Sdb.spawn_sharded ~world:rworld ~registry:Workload.Bank.registry
-      ~setup:(fun s db ->
-        Workload.Bank.setup_shard ~rows:bank_rows ~shards s db)
-      ~router:(Workload.Bank.router ~shards)
-      ()
-  in
-  let make_txn ~client ~seq =
-    if seq mod 20 = 19 then
-      let src = Workload.Zipf.sample_id zipf ~client ~seq in
-      let dst =
-        (src + 1 + (abs (Hashtbl.hash (client, seq, 1)) mod (bank_rows - 1)))
-        mod bank_rows
-      in
-      Workload.Bank.transfer ~src ~dst ~amount:1
-    else
-      Workload.Bank.deposit
-        ~account:(Workload.Zipf.sample_id zipf ~client ~seq)
-        ~amount:1
-  in
-  let n_clients = 4 * shards and count = if quick then 100 else 400 in
-  let _, _ =
-    Sdb.spawn_clients ~world:rworld ~target:(Sdb.To_sharded cluster)
-      ~n:n_clients ~count ~make_txn ~retry_timeout:4.0
-      ~on_commit:(fun now _ ->
-        incr commits;
-        last := now)
-      ()
-  in
-  Engine.run ~until:3600.0 ~max_events:100_000_000 world;
-  let txns_s = if !last > 0.0 then float_of_int !commits /. !last else nan in
-  (txns_s, cluster.Sdb.sh_committed (), cluster.Sdb.sh_aborted ())
-
-let sharding_curve () =
-  let counts = [ 1; 2; 4 ] in
-  let pts =
-    List.map
-      (fun shards ->
-        let txns_s, x_committed, x_aborted = measure_sim_sharded ~shards () in
-        (shards, txns_s, x_committed, x_aborted))
-      counts
-  in
-  let base =
-    match pts with (_, t, _, _) :: _ -> t | [] -> nan
-  in
-  List.map
-    (fun (shards, t, xc, xa) -> (shards, t, t /. base, xc, xa))
-    pts
-
 (* Scratch directories for the durability measurements. *)
 let dur_dir =
   let n = ref 0 in
@@ -658,7 +598,7 @@ let run_trajectory () =
   print_endline "# Perf trajectory (wall-clock hot-path throughput)     #";
   print_endline "########################################################";
   let events_per_sec, sim_txns = measure_sim () in
-  let shard_pts = sharding_curve () in
+  let shard_pts = Harness.Sharding.curve ~quick () in
   let loop_txns, loop_p50, loop_p99 = measure_socket () in
   let frame_ns = measure_frame_ns () in
   let check_rates = measure_check () in
@@ -686,7 +626,8 @@ let run_trajectory () =
        [ "conform trace codec MB/s"; Stats.Table.fmt_f conform_codec_mb_s ];
      ]
     @ List.map
-        (fun (shards, t, speedup, xc, xa) ->
+        (fun { Harness.Sharding.shards; txns_s = t; speedup; x_committed = xc;
+               x_aborted = xa } ->
           [
             Printf.sprintf "sharded txns/s (sim, %d shard%s)" shards
               (if shards = 1 then "" else "s");
@@ -745,7 +686,8 @@ let () =
             ( "sharding",
               Json.Arr
                 (List.map
-                   (fun (shards, t, speedup, xc, xa) ->
+                   (fun { Harness.Sharding.shards; txns_s = t; speedup;
+                          x_committed = xc; x_aborted = xa } ->
                      Json.Obj
                        [
                          ("shards", Json.num (float_of_int shards));

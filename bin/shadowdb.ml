@@ -92,7 +92,7 @@ let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
       }
   | Chain ->
       let c =
-        S.spawn_chain ~read_kinds ~backends ~tob_window:window ~world
+        S.spawn_pbr ~style:S.Chain ~read_kinds ~backends ~tob_window:window ~world
           ~registry ~setup ~n_active:3 ~n_spare:1 ()
       in
       {

@@ -13,7 +13,7 @@ let lock_helpers =
     "Runtime.Loop.locked";
     "Conform.Online.locked";
     "Conform.Recorder.locked";
-    "Shadowdb.System.Make.Registry.locked";
+    "Shadowdb.Replica.Registry.locked";
   ]
 
 (* Reactor-blocking config for the Loop runtime. Each blessing names the

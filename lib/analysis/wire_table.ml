@@ -1,8 +1,9 @@
 (* ShadowDB wire-table pass.
 
-   The replication layer (lib/shadowdb/system.ml) is an engine-level
-   implementation, not a class term, so header coverage cannot be
-   observed the way {!Exec} observes specifications. Instead the message
+   The replication layer (lib/shadowdb: replica.ml, pbr.ml, smr.ml,
+   sharded.ml) is an engine-level implementation, not a class term, so
+   header coverage cannot be observed the way {!Exec} observes
+   specifications. Instead the message
    flow is *declared* here — which role produces and which role handles
    each {!Shadowdb.Db_msg} constructor — and the pass keeps the
    declaration total and well-formed against the actual message type:

@@ -188,7 +188,7 @@ let replication_styles ?(clients = 24) ?(count = 400) () =
         S.To_pbr (S.spawn_pbr ~world ~registry ~setup ~n_active:2 ~n_spare:1 ()));
     run "chain (3+1)" (fun world ->
         S.To_pbr
-          (S.spawn_chain ~read_kinds:[ "balance" ] ~world ~registry ~setup
+          (S.spawn_pbr ~style:S.Chain ~read_kinds:[ "balance" ] ~world ~registry ~setup
              ~n_active:3 ~n_spare:1 ()));
     run "state machine (2 of 3)" (fun world ->
         S.To_smr (S.spawn_smr ~world ~registry ~setup ~n_active:2 ()));

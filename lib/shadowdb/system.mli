@@ -118,24 +118,11 @@ module Make (C : Consensus.Consensus_intf.S) : sig
       identically at every replica; [tob_profile] selects the broadcast
       service's execution engine (the paper runs PBR's service
       interpreted); [tob_window] is the service's consensus pipelining
-      window (batches in flight per member, default 1). *)
+      window (batches in flight per member, default 1).
 
-  val spawn_chain :
-    ?read_kinds:string list ->
-    ?tun:tuning ->
-    ?backends:Storage.Store.kind list ->
-    ?tob_profile:Gpm.Engine_profile.t ->
-    ?tob_window:int ->
-    world:wire Runtime.t ->
-    registry:(unit -> Txn.registry) ->
-    setup:(Storage.Database.t -> unit) ->
-    n_active:int ->
-    n_spare:int ->
-    unit ->
-    pbr_cluster
-  (** Chain-replication cluster: the configuration order is the chain
-      order (head first); [read_kinds] lists the transaction kinds served
-      read-only at the tail. *)
+      [style:Chain] spawns a chain-replication cluster: the configuration
+      order is the chain order (head first); [read_kinds] lists the
+      transaction kinds served read-only at the tail. *)
 
   (** {1 State-machine-replication clusters} *)
 

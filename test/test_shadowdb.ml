@@ -26,7 +26,7 @@ let make_deposit ~client ~seq =
 let setup db = Workload.Bank.setup ~rows db
 
 let pbr_world ?(backends = [ Store.Hazel ]) ?(tun = fast_tun) ?cache_cap
-    ?(n_active = 2) ?(n_spare = 1) () =
+    ?(n_active = 2) ?(n_spare = 1) ?(setup = setup) () =
   let tun =
     match cache_cap with
     | Some cap -> { tun with cache_cap = cap }
@@ -132,6 +132,56 @@ let test_pbr_failover_snapshot_path () =
   Alcotest.(check int) "completed via snapshot recovery" 3 completed;
   check_pbr_agreement world cluster
 
+let test_pbr_failover_snapshot_empty_db () =
+  (* A full snapshot of an empty database is still one (empty) last
+     chunk: without it the spare never reports Recovered and the new
+     primary never resumes. *)
+  let world, cluster =
+    pbr_world ~cache_cap:2 ~setup:(Workload.Bank.setup ~rows:0) ()
+  in
+  let _, completed =
+    S.spawn_clients ~world:(Runtime.Of_sim.of_engine world)
+      ~target:(S.To_pbr cluster) ~n:3 ~count:1000 ~make_txn:make_deposit
+      ~retry_timeout:1.0 ()
+  in
+  Engine.at world 0.2 (fun () ->
+      Engine.crash world cluster.S.pbr_initial_primary);
+  Engine.run ~until:120.0 ~max_events:10_000_000 world;
+  Alcotest.(check int) "all clients completed" 3 (completed ());
+  let survivor = List.nth cluster.S.pbr_replicas 1 in
+  let spare = List.nth cluster.S.pbr_replicas 2 in
+  Alcotest.(check int) "spare caught up with the new primary"
+    (cluster.S.pbr_gseq_of survivor)
+    (cluster.S.pbr_gseq_of spare);
+  check_pbr_agreement world cluster
+
+let test_pbr_snapshot_rejected_rows () =
+  (* A snapshot chunk the schema rejects must stop the replica loudly,
+     not leave it serving an emptied database as caught up. *)
+  let world, cluster = pbr_world () in
+  let rworld = Runtime.Of_sim.of_engine world in
+  let backup = List.nth cluster.S.pbr_replicas 1 in
+  let bogus =
+    Shadowdb.Db_msg.Snapshot
+      {
+        cfg = 0;
+        rows = [ ("no_such_table", [| Value.Int 1 |]) ];
+        upto = 0;
+        last = true;
+        clients = [];
+      }
+  in
+  ignore
+    (Runtime.spawn rworld ~name:"rogue" (fun () ctx -> function
+       | Runtime.Init ->
+           Runtime.send ctx ~size:(Shadowdb.Db_msg.size bogus) backup
+             (S.Db bogus)
+       | Runtime.Recv _ | Runtime.Timer _ -> ()));
+  match Engine.run ~until:5.0 ~max_events:1_000_000 world with
+  | () -> Alcotest.fail "rejected snapshot rows went unnoticed"
+  | exception Sim.Invariant.Violation { layer; _ } ->
+      Alcotest.(check string) "raised by the PBR layer" "pbr" layer
+
 let test_pbr_durability () =
   (* Every answered deposit survives the crash: final total balance =
      initial + #commits (deposits are +1 each). *)
@@ -194,7 +244,7 @@ let test_pbr_overlapped_state_transfer () =
 let chain_world ?(n_active = 3) () =
   let world : S.wire Engine.t = Engine.create ~seed:9 () in
   let cluster =
-    S.spawn_chain ~read_kinds:[ "balance" ] ~tun:fast_tun ~world:(Runtime.Of_sim.of_engine world)
+    S.spawn_pbr ~style:S.Chain ~read_kinds:[ "balance" ] ~tun:fast_tun ~world:(Runtime.Of_sim.of_engine world)
       ~registry:Workload.Bank.registry ~setup ~n_active ~n_spare:1 ()
   in
   (world, cluster)
@@ -477,6 +527,10 @@ let () =
             test_pbr_failover_catchup;
           Alcotest.test_case "failover (snapshot)" `Quick
             test_pbr_failover_snapshot_path;
+          Alcotest.test_case "failover (snapshot, empty database)" `Quick
+            test_pbr_failover_snapshot_empty_db;
+          Alcotest.test_case "snapshot with rejected rows" `Quick
+            test_pbr_snapshot_rejected_rows;
           Alcotest.test_case "durability" `Quick test_pbr_durability;
           Alcotest.test_case "overlapped state transfer" `Quick
             test_pbr_overlapped_state_transfer;

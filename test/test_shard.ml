@@ -273,6 +273,21 @@ let test_sharded_sim_smoke () =
   in
   Alcotest.(check int) "money conserved across shards" (rows * 100) total
 
+(* The weak-scaling claim: four independent total orders must buy at
+   least 1.5x the one-shard virtual throughput (the reference curve gives
+   about 2.5x). *)
+let test_sharding_speedup () =
+  let pts = Harness.Sharding.curve () in
+  let at n =
+    match List.find_opt (fun p -> p.Harness.Sharding.shards = n) pts with
+    | Some p -> p.Harness.Sharding.txns_s
+    | None -> Alcotest.failf "no %d-shard point" n
+  in
+  let speedup = at 4 /. at 1 in
+  if not (speedup >= 1.5) then
+    Alcotest.failf "4-shard speedup regressed: %.2fx (1 shard %.1f, 4 shards %.1f txns/s)"
+      speedup (at 1) (at 4)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
@@ -298,5 +313,7 @@ let () =
       ( "cluster",
         [
           Alcotest.test_case "sharded sim smoke" `Quick test_sharded_sim_smoke;
+          Alcotest.test_case "4 shards >= 1.5x 1 shard" `Quick
+            test_sharding_speedup;
         ] );
     ]
