@@ -1,126 +1,13 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (printed as rows/series in the paper's units), then
-   runs bechamel micro-benchmarks for the design-choice ablations called
-   out in DESIGN.md (optimizer on/off, storage backend diversity, SQL
-   front-end, codec and Paxos step costs).
+(* Bechamel micro-benchmarks: real-time cost of the core operations behind
+   the design choices in DESIGN.md (optimizer on/off, storage backend
+   diversity, SQL front end, codec and Paxos step costs) and of the hot
+   paths the end-to-end suite in perfbench/ does not isolate (simulator
+   engine, model-checker schedules, WAL recovery, trace codec, wire
+   framing). Each is fitted by OLS over many runs; the result is one
+   ns/run table.
 
-   `dune exec bench/main.exe` runs everything at quick scale;
-   `dune exec bench/main.exe -- --full` uses paper-scale parameters;
-   `dune exec bench/main.exe -- --skip-micro` omits the bechamel part;
-   `dune exec bench/main.exe -- --json FILE` additionally runs the
-   perf-trajectory measurements (simulator events/sec, TOB transaction
-   throughput on the simulator and on both socket runtimes — thread-per-
-   node and event-loop — plus frame-path ns/frame and model-checker
-   schedules/sec) and writes every number to FILE as JSON, so successive
-   commits' files can be diffed. *)
-
-let quick = not (Array.exists (( = ) "--full") Sys.argv)
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
-
-let json_file =
-  let rec go i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--json" then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
-(* ------------------------------------------------------------------ *)
-(* Hand-rolled JSON emitter (no external dependency)                   *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  (* NaN / infinities (e.g. a failed OLS fit) have no JSON encoding. *)
-  let num x = if Float.is_finite x then Num x else Null
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec emit buf indent = function
-    | Null -> Buffer.add_string buf "null"
-    | Num x ->
-        let s = Printf.sprintf "%.6g" x in
-        Buffer.add_string buf s
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | Arr [] -> Buffer.add_string buf "[]"
-    | Arr items ->
-        let pad = String.make (indent + 2) ' ' in
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf pad;
-            emit buf (indent + 2) item)
-          items;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make indent ' ');
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-        let pad = String.make (indent + 2) ' ' in
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf pad;
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\": ";
-            emit buf (indent + 2) v)
-          fields;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make indent ' ');
-        Buffer.add_char buf '}'
-
-  let to_file file t =
-    let buf = Buffer.create 4096 in
-    emit buf 0 t;
-    Buffer.add_char buf '\n';
-    let oc = open_out file in
-    output_string oc (Buffer.contents buf);
-    close_out oc
-end
-
-(* ------------------------------------------------------------------ *)
-(* Paper tables and figures                                            *)
-(* ------------------------------------------------------------------ *)
-
-let run_paper_experiments () =
-  print_endline "########################################################";
-  print_endline "# Reproduction of the paper's evaluation              #";
-  print_endline "########################################################";
-  Harness.Table1.print (Harness.Table1.rows ());
-  Harness.Fig8.print (Harness.Fig8.run ~quick ());
-  Harness.Fig9.print Harness.Fig9.Micro (Harness.Fig9.run ~quick Harness.Fig9.Micro);
-  Harness.Fig9.print Harness.Fig9.Tpcc (Harness.Fig9.run ~quick Harness.Fig9.Tpcc);
-  Harness.Fig10.print_timeline
-    (Harness.Fig10.run_timeline ~rows:(if quick then 20_000 else 50_000) ());
-  Harness.Fig10.print_transfers (Harness.Fig10.run_transfers ~quick ())
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (real time, not simulated time)           *)
-(* ------------------------------------------------------------------ *)
+   `dune exec bench/main.exe` runs it. The paper's tables and figures are
+   virtual-time and printed by bin/shadowdb_bench.exe instead. *)
 
 open Bechamel
 open Toolkit
@@ -242,10 +129,144 @@ let bench_btree_bulk =
            t := Storage.Btree.insert !t ((i * 2654435761) land 0xFFFF) i
          done))
 
-let run_micro () =
-  print_endline "\n########################################################";
-  print_endline "# Bechamel micro-benchmarks (ablations)               #";
-  print_endline "########################################################";
+(* A correctness check a timed closure depends on: a failure exits
+   non-zero, naming the check, instead of timing a broken path. *)
+let require name ok =
+  if not ok then begin
+    Printf.eprintf "bench: check failed: %s\n" name;
+    exit 1
+  end
+
+module Sdb = Shadowdb.System.Make (Consensus.Paxos)
+
+let bank_rows = 1_000
+
+let make_deposit ~client ~seq =
+  Workload.Bank.deposit
+    ~account:(abs (Hashtbl.hash (client, seq)) mod bank_rows)
+    ~amount:1
+
+(* The simulator engine end to end: one fixed SMR bank run (2 active
+   replicas, 4 clients x 20 deposits) from spawn to quiescence. *)
+let bench_sim =
+  let run () =
+    let world : Sdb.wire Sim.Engine.t = Sim.Engine.create ~seed:101 () in
+    let rworld = Runtime.Of_sim.of_engine world in
+    let cluster =
+      Sdb.spawn_smr ~world:rworld ~registry:Workload.Bank.registry
+        ~setup:(Workload.Bank.setup ~rows:bank_rows)
+        ~n_active:2 ()
+    in
+    let _, completed =
+      Sdb.spawn_clients ~world:rworld ~target:(Sdb.To_smr cluster) ~n:4
+        ~count:20 ~make_txn:make_deposit ~retry_timeout:4.0 ()
+    in
+    Sim.Engine.run ~until:3600.0 ~max_events:100_000_000 world;
+    completed ()
+  in
+  require "sim: every bank client completes" (run () = 4);
+  Test.make ~name:"sim-smr-bank(4x20)" (Staged.stage run)
+
+(* Model-checker cost per schedule: one random walk of budget 1, a fresh
+   seed each run so the fit averages over schedules. *)
+let bench_check =
+  let walk scenario =
+    let seed = ref 0 in
+    Staged.stage (fun () ->
+        incr seed;
+        Check.Explore.random_walk scenario ~seed:!seed ~budget:1 ())
+  in
+  Test.make_grouped ~name:"check(1 schedule)"
+    [
+      Test.make ~name:"paxos" (walk Check.Scenarios.paxos);
+      Test.make ~name:"tob" (walk Check.Scenarios.tob);
+    ]
+
+(* Recovery: 2,000 bank deposits journaled once through the in-memory
+   WAL backend; each run replays the whole log (scan, decode, execute)
+   into the same 1k-row bank, where a deposit costs the same whatever
+   the balance. *)
+let bench_recovery =
+  let n = 2_000 in
+  let policy =
+    { Durable.Manager.group_commit = 256; snapshot_every = 0; replay_tail = true }
+  in
+  let mem = Durable.Backend.mem_create () in
+  let mgr, _ =
+    Durable.Manager.recover (Durable.Backend.mem_backend mem) policy
+      ~install:ignore ~apply:ignore
+  in
+  for i = 0 to n - 1 do
+    let kind, params = make_deposit ~client:0 ~seq:i in
+    Durable.Manager.append mgr
+      {
+        Durable.Wal.idx = i;
+        aux = i + 1;
+        hash = 0;
+        payload =
+          Shadowdb.Codec.encode_txn
+            { Shadowdb.Txn.client = 0; seq = i; kind; params };
+      }
+  done;
+  Durable.Manager.flush mgr;
+  let reg = Workload.Bank.registry () in
+  let db = Storage.Database.create Storage.Store.Hazel in
+  Workload.Bank.setup ~rows:bank_rows db;
+  let apply (r : Durable.Wal.record) =
+    match Shadowdb.Codec.decode_txn r.Durable.Wal.payload with
+    | Ok txn -> ignore (Shadowdb.Txn.execute reg db txn)
+    | Error _ -> ()
+  in
+  let replay () =
+    snd
+      (Durable.Manager.recover (Durable.Backend.mem_backend mem) policy
+         ~install:ignore ~apply)
+  in
+  require "recovery: replay reaches the last journaled record"
+    ((replay ()).Durable.Manager.recovered_idx = n - 1);
+  Test.make ~name:"recovery(2k wal records)" (Staged.stage replay)
+
+(* The conformance trace codec on a recorded sim bank trace (2 clients x
+   20 deposits): encode, then decode. The trace must pass LoE replay and
+   the invariant monitors, and round-trip, before anything is timed. *)
+let bench_trace_codec =
+  let run = Conform.Record.sim_bank ~seed:7 ~clients:2 ~count:20 ~rows:512 () in
+  let events = Conform.Recorder.events run.Conform.Record.recorder in
+  let meta = Conform.Recorder.meta run.Conform.Record.recorder in
+  let spec_exec = Conform.Replay.spec_exec_of_meta meta in
+  require "conform: LoE replay accepts the recorded trace"
+    (Conform.Replay.ok (Conform.Replay.check ?spec_exec events));
+  require "conform: monitors accept the recorded trace"
+    (Conform.Monitors.ok (Conform.Monitors.check ~meta events));
+  let roundtrip () =
+    Conform.Trace_file.decode (Conform.Trace_file.encode ~meta events)
+  in
+  require "conform: trace codec round-trips" (Result.is_ok (roundtrip ()));
+  Test.make ~name:"trace-codec-roundtrip(2x20 bank)" (Staged.stage roundtrip)
+
+(* 200-byte frames through the wire framing: append into a reused buffer
+   and drain it back out, the per-message data-plane work the socket
+   runtime does besides the syscall. A thousand per run, so bechamel's
+   per-sample overhead does not swamp a ~70 ns operation. *)
+let bench_frame =
+  let payload = String.make 200 'p' in
+  let buf = Runtime.Frame.create 65536 in
+  let drained = ref 0 in
+  let roundtrip () =
+    Runtime.Frame.append buf ~src:1 ~payload;
+    Runtime.Frame.drain buf
+      ~frame:(fun ~src:_ p -> drained := String.length p)
+      ~bad:(fun _ -> ())
+  in
+  roundtrip ();
+  require "frame: drain returns the appended payload" (!drained = 200);
+  Test.make ~name:"frame-append+drain(1k x 200B)"
+    (Staged.stage (fun () ->
+         for _ = 1 to 1_000 do
+           roundtrip ()
+         done))
+
+let () =
   let tests =
     Test.make_grouped ~name:"micro"
       [
@@ -255,6 +276,11 @@ let run_micro () =
         bench_codec;
         bench_paxos_step;
         bench_btree_bulk;
+        bench_sim;
+        bench_check;
+        bench_recovery;
+        bench_trace_codec;
+        bench_frame;
       ]
   in
   let instances = Instance.[ monotonic_clock ] in
@@ -291,457 +317,4 @@ let run_micro () =
     (List.map
        (fun (n, v) ->
          [ n; (if Float.is_nan v then "n/a" else Stats.Table.fmt_f v) ])
-       rows);
-  rows
-
-let run_ablations () =
-  print_endline "\n########################################################";
-  print_endline "# Virtual-time ablations (DESIGN.md design choices)    #";
-  print_endline "########################################################";
-  let sections =
-    [
-      ("ablation — broadcast batching", Harness.Ablations.batching ());
-      ( "ablation — consensus pipelining window",
-        Harness.Ablations.pipelining () );
-      ( "ablation — consensus module under the TOB",
-        Harness.Ablations.consensus_modules () );
-      ( "ablation — lock granularity under contention",
-        Harness.Ablations.lock_granularity () );
-      ( "extension — replication styles over the same substrate",
-        Harness.Ablations.replication_styles () );
-    ]
-  in
-  List.iter (fun (title, pts) -> Harness.Ablations.print ~title pts) sections;
-  sections
-
-(* ------------------------------------------------------------------ *)
-(* Perf trajectory (--json): wall-clock throughput of the hot paths    *)
-(* ------------------------------------------------------------------ *)
-
-module Engine = Sim.Engine
-module Sdb = Shadowdb.System.Make (Consensus.Paxos)
-
-let bank_rows = 1_000
-
-let make_deposit ~client ~seq =
-  Workload.Bank.deposit
-    ~account:(abs (Hashtbl.hash (client, seq)) mod bank_rows)
-    ~amount:1
-
-(* SMR bank cluster on the simulator: every transaction goes through the
-   TOB, so committed/s (virtual) is the broadcast service's transaction
-   throughput, and processed events over wall-clock time is the simulator
-   engine's raw speed. *)
-let measure_sim () =
-  let world : Sdb.wire Engine.t = Engine.create ~seed:101 () in
-  let rworld = Runtime.Of_sim.of_engine world in
-  let commits = ref 0 in
-  let last = ref 0.0 in
-  let cluster =
-    Sdb.spawn_smr ~world:rworld ~registry:Workload.Bank.registry
-      ~setup:(Workload.Bank.setup ~rows:bank_rows)
-      ~n_active:2 ()
-  in
-  let _, _ =
-    Sdb.spawn_clients ~world:rworld ~target:(Sdb.To_smr cluster) ~n:8
-      ~count:(if quick then 150 else 1_000)
-      ~make_txn:make_deposit ~retry_timeout:4.0
-      ~on_commit:(fun now _ ->
-        incr commits;
-        last := now)
-      ()
-  in
-  let t0 = Unix.gettimeofday () in
-  Engine.run ~until:3600.0 ~max_events:100_000_000 world;
-  let wall = Unix.gettimeofday () -. t0 in
-  let events = Engine.events_processed world in
-  ( float_of_int events /. wall,
-    if !last > 0.0 then float_of_int !commits /. !last else nan )
-
-(* Scratch directories for the durability measurements. *)
-let dur_dir =
-  let n = ref 0 in
-  fun name ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "shadowdb-bench-dur-%d-%d-%s" (Unix.getpid ()) !n name)
-
-(* The same cluster as a real deployment on the event-loop runtime:
-   committed transactions per wall-clock second plus p50/p99 commit
-   latency. [dur_group_commit] additionally journals every applied batch
-   through the file WAL backend, syncing after that many records — 1 is
-   fsync-per-commit, larger windows are group commit. *)
-(* One timed deployment of the socket-runtime SMR bank. The clock runs
-   from [start] to client completion; the GC is quiesced first so a
-   major slice from earlier phases doesn't land inside a
-   single-digit-millisecond window. *)
-let measure_socket_once ?dur_group_commit () =
-  let codec =
-    Sdb.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
-      ~dec_core:Shadowdb.Codec.decode_core_paxos
-  in
-  let loop = Runtime.Loop.create ~codec () in
-  let world = Runtime.Loop.runtime loop in
-  let mu = Mutex.create () in
-  let commits = ref 0 in
-  let latencies = Stats.Sample.create () in
-  let durability =
-    Option.map
-      (fun gc ->
-        let base = dur_dir (Printf.sprintf "loop-gc%d" gc) in
-        {
-          Sdb.dur_backend =
-            (fun i ->
-              Durable.File.create
-                ~dir:(Filename.concat base (Printf.sprintf "node%d" i))
-                ());
-          dur_policy =
-            (fun _ ->
-              {
-                Durable.Manager.group_commit = gc;
-                snapshot_every = 0;
-                replay_tail = true;
-              });
-          dur_on_recover = (fun _ _ ~state_hash:_ -> ());
-        })
-      dur_group_commit
-  in
-  let cluster =
-    Sdb.spawn_smr ~world ?durability ~registry:Workload.Bank.registry
-      ~setup:(Workload.Bank.setup ~rows:bank_rows)
-      ~n_active:2 ()
-  in
-  let n_clients = 4 and count = if quick then 50 else 250 in
-  let _, completed =
-    Sdb.spawn_clients ~world ~target:(Sdb.To_smr cluster) ~n:n_clients ~count
-      ~make_txn:make_deposit ~retry_timeout:4.0
-      ~on_commit:(fun _ l ->
-        Mutex.lock mu;
-        incr commits;
-        Stats.Sample.add latencies l;
-        Mutex.unlock mu)
-      ()
-  in
-  (* Compact, not just a major cycle: by this point earlier bench phases
-     have grown and fragmented the major heap, and the timed window is
-     single-digit milliseconds. *)
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  Runtime.Loop.start loop;
-  let finished =
-    Runtime.Loop.await ~timeout:120.0 loop (fun () -> completed () >= n_clients)
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  Runtime.Loop.stop loop;
-  let txns =
-    if (not finished) || wall <= 0.0 then nan
-    else float_of_int !commits /. wall
-  in
-  ( txns,
-    Stats.Sample.percentile latencies 50.0 *. 1e3,
-    Stats.Sample.percentile latencies 99.0 *. 1e3 )
-
-(* Best of five trials (single trial when a durability backend is
-   attached: trials would otherwise replay each other's WAL dirs). The
-   quick run finishes in milliseconds, so a stolen timeslice on a small
-   machine easily halves one trial's figure; the max over a handful of
-   trials is a far better estimate of what the runtime sustains, at
-   negligible cost. *)
-let measure_socket ?dur_group_commit () =
-  match dur_group_commit with
-  | Some _ -> measure_socket_once ?dur_group_commit ()
-  | None ->
-      let best = ref (measure_socket_once ()) in
-      for _ = 2 to 5 do
-        let ((t, _, _) as m) = measure_socket_once () in
-        let bt, _, _ = !best in
-        if (not (Float.is_nan t)) && (Float.is_nan bt || t > bt) then best := m
-      done;
-      !best
-
-(* ns per frame through the wire framing: append one encoded frame into
-   a reused buffer and parse it back out — the per-message data-plane
-   work the socket runtime does besides the syscall. *)
-let measure_frame_ns () =
-  let payload = String.make 200 'p' in
-  let buf = Runtime.Frame.create 65536 in
-  let n = if quick then 300_000 else 3_000_000 in
-  let sink = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    Runtime.Frame.append buf ~src:1 ~payload;
-    Runtime.Frame.drain buf
-      ~frame:(fun ~src:_ p -> sink := !sink + String.length p)
-      ~bad:(fun _ -> ())
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  if !sink = 0 then nan else wall /. float_of_int n *. 1e9
-
-(* Raw WAL append bandwidth of the file backend (256-byte payloads,
-   synced every 64 records). *)
-let measure_wal_append () =
-  let dir = dur_dir "wal" in
-  let b = Durable.File.create ~dir () in
-  let payload = String.make 256 'w' in
-  let n = if quick then 2_000 else 20_000 in
-  let bytes = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    let e =
-      Durable.Wal.encode_record
-        { Durable.Wal.idx = i; aux = i; hash = i land 0xFFFF; payload }
-    in
-    bytes := !bytes + String.length e;
-    b.Durable.Backend.log_append e;
-    if i mod 64 = 63 then b.Durable.Backend.log_sync ()
-  done;
-  b.Durable.Backend.log_sync ();
-  let wall = Unix.gettimeofday () -. t0 in
-  b.Durable.Backend.close ();
-  float_of_int !bytes /. wall /. (1024.0 *. 1024.0)
-
-(* Recovery speed: journal bank deposits through the file backend, then
-   time a full log replay into a fresh replica. Reported normalized as
-   milliseconds per 10k records. *)
-let measure_recovery () =
-  let n = if quick then 2_000 else 10_000 in
-  let dir = dur_dir "recover" in
-  let policy =
-    { Durable.Manager.group_commit = 256; snapshot_every = 0; replay_tail = true }
-  in
-  let reg = Workload.Bank.registry () in
-  let fresh_db () =
-    let db = Storage.Database.create Storage.Store.Hazel in
-    Workload.Bank.setup ~rows:bank_rows db;
-    db
-  in
-  let deposit i =
-    let kind, params = make_deposit ~client:0 ~seq:i in
-    { Shadowdb.Txn.client = 0; seq = i; kind; params }
-  in
-  let b = Durable.File.create ~dir () in
-  let db = fresh_db () in
-  let mgr, _ =
-    Durable.Manager.recover b policy ~install:(fun _ -> ()) ~apply:(fun _ -> ())
-  in
-  for i = 0 to n - 1 do
-    let txn = deposit i in
-    ignore (Shadowdb.Txn.execute reg db txn);
-    Durable.Manager.append mgr
-      {
-        Durable.Wal.idx = i;
-        aux = i + 1;
-        hash = 0;
-        payload = Shadowdb.Codec.encode_txn txn;
-      }
-  done;
-  Durable.Manager.flush mgr;
-  b.Durable.Backend.close ();
-  let b2 = Durable.File.create ~dir () in
-  let db2 = fresh_db () in
-  let apply (r : Durable.Wal.record) =
-    match Shadowdb.Codec.decode_txn r.Durable.Wal.payload with
-    | Ok txn -> ignore (Shadowdb.Txn.execute reg db2 txn)
-    | Error _ -> ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let _, rep = Durable.Manager.recover b2 policy ~install:(fun _ -> ()) ~apply in
-  let wall = Unix.gettimeofday () -. t0 in
-  b2.Durable.Backend.close ();
-  if rep.Durable.Manager.recovered_idx <> n - 1 then nan
-  else wall *. 1000.0 /. float_of_int n *. 10_000.0
-
-(* Model-checker schedule throughput on the two hot scenarios. *)
-let measure_check () =
-  let budget = if quick then 300 else 2_000 in
-  List.map
-    (fun (name, sc) ->
-      let t0 = Unix.gettimeofday () in
-      let r = Check.Explore.random_walk sc ~seed:7 ~budget () in
-      let wall = Unix.gettimeofday () -. t0 in
-      ignore r.Check.Explore.violation;
-      (name, float_of_int budget /. wall))
-    [ ("paxos", Check.Scenarios.paxos); ("tob", Check.Scenarios.tob) ]
-
-(* Conformance-checker throughput: a recorded sim bank trace pushed
-   through the LoE replay + invariant monitors (events/s) and through
-   the trace codec (encode + decode, MB/s). *)
-let measure_conform () =
-  let clients, count = if quick then (2, 20) else (3, 60) in
-  let run = Conform.Record.sim_bank ~seed:7 ~clients ~count ~rows:512 () in
-  let events = Conform.Recorder.events run.Conform.Record.recorder in
-  let meta = Conform.Recorder.meta run.Conform.Record.recorder in
-  let n = List.length events in
-  let spec_exec = Conform.Replay.spec_exec_of_meta meta in
-  let t0 = Unix.gettimeofday () in
-  let replay = Conform.Replay.check ?spec_exec events in
-  let monitors = Conform.Monitors.check ~meta events in
-  let check_wall = Unix.gettimeofday () -. t0 in
-  let events_s =
-    if Conform.Replay.ok replay && Conform.Monitors.ok monitors then
-      float_of_int n /. check_wall
-    else nan
-  in
-  let t1 = Unix.gettimeofday () in
-  let enc = Conform.Trace_file.encode ~meta events in
-  let roundtrip_ok =
-    match Conform.Trace_file.decode enc with Ok _ -> true | Error _ -> false
-  in
-  let codec_wall = Unix.gettimeofday () -. t1 in
-  let mb = float_of_int (String.length enc) /. (1024.0 *. 1024.0) in
-  let codec_mb_s = if roundtrip_ok then 2.0 *. mb /. codec_wall else nan in
-  (events_s, codec_mb_s)
-
-let run_trajectory () =
-  print_endline "\n########################################################";
-  print_endline "# Perf trajectory (wall-clock hot-path throughput)     #";
-  print_endline "########################################################";
-  let events_per_sec, sim_txns = measure_sim () in
-  let shard_pts = Harness.Sharding.curve ~quick () in
-  let loop_txns, loop_p50, loop_p99 = measure_socket () in
-  let frame_ns = measure_frame_ns () in
-  let check_rates = measure_check () in
-  let wal_mb_s = measure_wal_append () in
-  let loop_fsync, _, _ = measure_socket ~dur_group_commit:1 () in
-  let loop_group, _, _ = measure_socket ~dur_group_commit:8 () in
-  let recovery_ms = measure_recovery () in
-  let conform_events_s, conform_codec_mb_s = measure_conform () in
-  Stats.Table.print_table ~title:"perf trajectory"
-    ~header:[ "measure"; "value" ]
-    ([
-       [ "sim engine events/s (wall)"; Stats.Table.fmt_f events_per_sec ];
-       [ "tob txns/s (sim, virtual)"; Stats.Table.fmt_f sim_txns ];
-       [
-         "tob txns/s (loop, wall)";
-         Printf.sprintf "%s (p50 %.2f ms, p99 %.2f ms)"
-           (Stats.Table.fmt_f loop_txns) loop_p50 loop_p99;
-       ];
-       [ "frame ns/frame (append+drain)"; Stats.Table.fmt_f frame_ns ];
-       [ "wal append MB/s (file)"; Stats.Table.fmt_f wal_mb_s ];
-       [ "tob txns/s (loop, fsync/commit)"; Stats.Table.fmt_f loop_fsync ];
-       [ "tob txns/s (loop, group commit 8)"; Stats.Table.fmt_f loop_group ];
-       [ "recovery ms / 10k records"; Stats.Table.fmt_f recovery_ms ];
-       [ "conform check events/s"; Stats.Table.fmt_f conform_events_s ];
-       [ "conform trace codec MB/s"; Stats.Table.fmt_f conform_codec_mb_s ];
-     ]
-    @ List.map
-        (fun { Harness.Sharding.shards; txns_s = t; speedup; x_committed = xc;
-               x_aborted = xa } ->
-          [
-            Printf.sprintf "sharded txns/s (sim, %d shard%s)" shards
-              (if shards = 1 then "" else "s");
-            Printf.sprintf "%s (%.2fx, 2pc %d/%d)" (Stats.Table.fmt_f t)
-              speedup xc (xc + xa);
-          ])
-        shard_pts
-    @ List.map
-        (fun (n, v) ->
-          [ Printf.sprintf "check %s schedules/s" n; Stats.Table.fmt_f v ])
-        check_rates);
-  ( events_per_sec,
-    sim_txns,
-    shard_pts,
-    (loop_txns, loop_p50, loop_p99),
-    frame_ns,
-    check_rates,
-    (wal_mb_s, loop_fsync, loop_group, recovery_ms),
-    (conform_events_s, conform_codec_mb_s) )
-
-let () =
-  run_paper_experiments ();
-  let ablations = run_ablations () in
-  let micro = if skip_micro then [] else run_micro () in
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let ( events_per_sec,
-            sim_txns,
-            shard_pts,
-            (loop_txns, loop_p50, loop_p99),
-            frame_ns,
-            check_rates,
-            (wal_mb_s, loop_fsync, loop_group, recovery_ms),
-            (conform_events_s, conform_codec_mb_s) ) =
-        run_trajectory ()
-      in
-      let json =
-        Json.Obj
-          [
-            ("suite", Json.Str "shadowdb-bench");
-            ("scale", Json.Str (if quick then "quick" else "full"));
-            ( "micro_ns_per_run",
-              Json.Arr
-                (List.map
-                   (fun (name, ns) ->
-                     Json.Obj
-                       [ ("name", Json.Str name); ("ns", Json.num ns) ])
-                   micro) );
-            ( "sim",
-              Json.Obj
-                [
-                  ("engine_events_per_sec", Json.num events_per_sec);
-                  ("tob_txns_per_sec", Json.num sim_txns);
-                ] );
-            ( "sharding",
-              Json.Arr
-                (List.map
-                   (fun { Harness.Sharding.shards; txns_s = t; speedup;
-                          x_committed = xc; x_aborted = xa } ->
-                     Json.Obj
-                       [
-                         ("shards", Json.num (float_of_int shards));
-                         ("tob_txns_per_sec", Json.num t);
-                         ("speedup_vs_1_shard", Json.num speedup);
-                         ("cross_shard_committed", Json.num (float_of_int xc));
-                         ("cross_shard_aborted", Json.num (float_of_int xa));
-                       ])
-                   shard_pts) );
-            ( "live_loop",
-              Json.Obj
-                [
-                  ("tob_txns_per_sec", Json.num loop_txns);
-                  ("latency_p50_ms", Json.num loop_p50);
-                  ("latency_p99_ms", Json.num loop_p99);
-                ] );
-            ("frame", Json.Obj [ ("ns_per_frame", Json.num frame_ns) ]);
-            ( "check_schedules_per_sec",
-              Json.Obj (List.map (fun (n, v) -> (n, Json.num v)) check_rates)
-            );
-            ( "durability",
-              Json.Obj
-                [
-                  ("wal_append_mb_per_sec", Json.num wal_mb_s);
-                  ("loop_txns_per_sec_fsync_per_commit", Json.num loop_fsync);
-                  ("loop_txns_per_sec_group_commit_8", Json.num loop_group);
-                  ("recovery_ms_per_10k_records", Json.num recovery_ms);
-                ] );
-            ( "conform",
-              Json.Obj
-                [
-                  ("check_events_per_sec", Json.num conform_events_s);
-                  ("trace_codec_mb_per_sec", Json.num conform_codec_mb_s);
-                ] );
-            ( "ablations",
-              Json.Obj
-                (List.map
-                   (fun (title, pts) ->
-                     ( title,
-                       Json.Arr
-                         (List.map
-                            (fun p ->
-                              Json.Obj
-                                [
-                                  ("label", Json.Str p.Harness.Ablations.label);
-                                  ( "throughput_per_sec",
-                                    Json.num p.Harness.Ablations.throughput );
-                                  ( "latency_ms",
-                                    Json.num p.Harness.Ablations.latency_ms );
-                                ])
-                            pts) ))
-                   ablations) );
-          ]
-      in
-      Json.to_file file json;
-      Printf.printf "\nbench: wrote %s\n" file);
-  print_endline "\nbench: done."
+       rows)

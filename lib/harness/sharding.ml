@@ -62,3 +62,16 @@ let curve ?(quick = true) () =
     (fun (shards, (txns_s, x_committed, x_aborted)) ->
       { shards; txns_s; speedup = txns_s /. base; x_committed; x_aborted })
     pts
+
+let print pts =
+  Stats.Table.print_table ~title:"sharding — weak scaling (virtual time)"
+    ~header:[ "measure"; "value" ]
+    (List.map
+       (fun { shards; txns_s; speedup; x_committed = xc; x_aborted = xa } ->
+         [
+           Printf.sprintf "sharded txns/s (sim, %d shard%s)" shards
+             (if shards = 1 then "" else "s");
+           Printf.sprintf "%s (%.2fx, 2pc %d/%d)" (Stats.Table.fmt_f txns_s)
+             speedup xc (xc + xa);
+         ])
+       pts)

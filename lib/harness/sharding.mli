@@ -16,3 +16,7 @@ type point = {
 val curve : ?quick:bool -> unit -> point list
 (** 1, 2 and 4 shards. [quick] (default true) runs 100 transactions per
     client instead of 400. *)
+
+val print : point list -> unit
+(** One row per shard count: committed/s, speedup over 1 shard, and 2PC
+    commits over decided cross-shard transactions. *)
