@@ -43,6 +43,34 @@ let test_wal_roundtrip_basic () =
   Alcotest.(check int) "all bytes valid" (String.length stream)
     scan.Wal.valid_bytes
 
+(* Golden vectors pinning the on-disk bytes: 4-byte BE body length, 4-byte
+   BE CRC-32 of the body, then zigzag-LEB128 idx/aux/hash and the
+   length-prefixed payload. The snapshot's CRC has its top bit set, so it
+   also pins the unsigned 32-bit header encoding. *)
+let golden_record = { Wal.idx = 5; aux = -1; hash = 300; payload = "ab" }
+
+let golden_record_bytes =
+  "\x00\x00\x00\x07\x1c\xf4\x02\x14\x0a\x01\xd8\x04\x04\x61\x62"
+
+let golden_snapshot = { Wal.idx = 12; aux = 3; hash = -42; payload = "\x00rows" }
+
+let golden_snapshot_bytes =
+  "SDBSNAP2\x00\x00\x00\x09\xaf\x17\x06\xb1\x18\x06\x53\x0a\x00\x72\x6f\x77\x73"
+
+let test_golden_bytes () =
+  Alcotest.(check string)
+    "wal record golden bytes" golden_record_bytes
+    (Wal.encode_record golden_record);
+  Alcotest.(check bool)
+    "wal record golden decodes" true
+    ((Wal.scan golden_record_bytes).Wal.records = [ golden_record ]);
+  Alcotest.(check string)
+    "snapshot golden bytes" golden_snapshot_bytes
+    (Snapshot.encode golden_snapshot);
+  Alcotest.(check bool)
+    "snapshot golden decodes" true
+    (Snapshot.decode golden_snapshot_bytes = Ok golden_snapshot)
+
 (* Every proper prefix of the byte stream yields exactly the records that
    fit whole in it — a cut mid-record is torn tail, never a record. *)
 let test_wal_every_prefix () =
@@ -358,6 +386,8 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "round-trip" `Quick test_wal_roundtrip_basic;
+          Alcotest.test_case "golden bytes (record, snapshot)" `Quick
+            test_golden_bytes;
           Alcotest.test_case "every prefix cut is torn" `Quick
             test_wal_every_prefix;
           Alcotest.test_case "corruption rejected" `Quick
