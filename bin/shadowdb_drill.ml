@@ -31,61 +31,7 @@
 open Cmdliner
 module S = Shadowdb.System.Make (Consensus.Paxos)
 
-(* ---------------------------------------------------------------- *)
-(* Minimal JSON emitter (mirrors the bench harness's)                *)
-(* ---------------------------------------------------------------- *)
-
-module Json = struct
-  type t = Bool of bool | Num of float | Str of string | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec emit buf indent = function
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num x ->
-        Buffer.add_string buf
-          (if Float.is_finite x then Printf.sprintf "%.6g" x else "null")
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-        let pad = String.make (indent + 2) ' ' in
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf pad;
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\": ";
-            emit buf (indent + 2) v)
-          fields;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make indent ' ');
-        Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 4096 in
-    emit buf 0 t;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-
-  let int n = Num (float_of_int n)
-end
+module Json = Bytefmt.Json
 
 (* ---------------------------------------------------------------- *)
 (* Drill                                                             *)
@@ -350,12 +296,12 @@ let run clients count group_commit snapshot_every torn data_dir json_path
               ("ran", Json.Bool true);
               ("snapshot_present", Json.Bool rep.Durable.Manager.snapshot_present);
               ("snapshot_valid", Json.Bool rep.Durable.Manager.snapshot_valid);
-              ("snapshot_idx", Json.int rep.Durable.Manager.snapshot_idx);
-              ("wal_records", Json.int rep.Durable.Manager.wal_records);
-              ("wal_replayed", Json.int rep.Durable.Manager.wal_replayed);
-              ("wal_stale", Json.int rep.Durable.Manager.wal_stale);
-              ("torn_bytes_truncated", Json.int rep.Durable.Manager.torn_bytes);
-              ("recovered_idx", Json.int r);
+              ("snapshot_idx", Json.Int rep.Durable.Manager.snapshot_idx);
+              ("wal_records", Json.Int rep.Durable.Manager.wal_records);
+              ("wal_replayed", Json.Int rep.Durable.Manager.wal_replayed);
+              ("wal_stale", Json.Int rep.Durable.Manager.wal_stale);
+              ("torn_bytes_truncated", Json.Int rep.Durable.Manager.torn_bytes);
+              ("recovered_idx", Json.Int r);
               (* Fingerprints are full-width ints: emit as strings so JSON
                  float precision can't mangle them. *)
               ( "recovered_hash",
@@ -365,7 +311,7 @@ let run clients count group_commit snapshot_every torn data_dir json_path
                 match survivor_hash with
                 | Some h -> Json.Str (string_of_int h)
                 | None -> Json.Str "not-retained" );
-              ("recovery_ms", Json.Num ((back_at -. restart_at) *. 1e3));
+              ("recovery_ms", Json.Float ((back_at -. restart_at) *. 1e3));
             ] )
   in
   (* The online monitor must see zero per-link FIFO and fingerprint
@@ -389,73 +335,73 @@ let run clients count group_commit snapshot_every torn data_dir json_path
           Json.Obj
             [
               ("runtime", Json.Str "loop");
-              ("clients", Json.int clients);
-              ("count", Json.int count);
-              ("group_commit", Json.int group_commit);
-              ("snapshot_every", Json.int snapshot_every);
-              ("torn_injected_bytes", Json.int torn_injected);
+              ("clients", Json.Int clients);
+              ("count", Json.Int count);
+              ("group_commit", Json.Int group_commit);
+              ("snapshot_every", Json.Int snapshot_every);
+              ("torn_injected_bytes", Json.Int torn_injected);
               ("data_dir", Json.Str data_dir);
             ] );
         ( "timeline",
           Json.Obj
             [
-              ("killed_at_s", Json.Num killed_at);
-              ("restarted_at_s", Json.Num restart_at);
-              ("recovered_at_s", Json.Num back_at);
-              ("total_s", Json.Num (elapsed ()));
+              ("killed_at_s", Json.Float killed_at);
+              ("restarted_at_s", Json.Float restart_at);
+              ("recovered_at_s", Json.Float back_at);
+              ("total_s", Json.Float (elapsed ()));
             ] );
         ( "pre_crash_disk",
           Json.Obj
             [
-              ("durable_idx", Json.int pre.Durable.Manager.i_durable_idx);
+              ("durable_idx", Json.Int pre.Durable.Manager.i_durable_idx);
               ( "whole_records",
-                Json.int (List.length pre.Durable.Manager.i_records) );
-              ("torn_bytes", Json.int pre.Durable.Manager.i_torn);
+                Json.Int (List.length pre.Durable.Manager.i_records) );
+              ("torn_bytes", Json.Int pre.Durable.Manager.i_torn);
             ] );
         ("recovery", recovery_json);
         ( "conformance",
           Json.Obj
             [
               ("trace", Json.Str trace_path);
-              ("events", Json.int (List.length trace_events));
+              ("events", Json.Int (List.length trace_events));
               ( "delivers_replayed",
-                Json.int conform_replay.Conform.Replay.r_delivers );
+                Json.Int conform_replay.Conform.Replay.r_delivers );
               ( "checkpoints",
-                Json.int conform_replay.Conform.Replay.r_checkpoints );
+                Json.Int conform_replay.Conform.Replay.r_checkpoints );
               ( "divergences",
-                Json.int
+                Json.Int
                   (List.length conform_replay.Conform.Replay.r_divergences) );
               ( "monitor_violations",
-                Json.int
+                Json.Int
                   (List.length conform_monitors.Conform.Monitors.m_violations)
               );
               ("ok", Json.Bool conform_ok);
-              ("online_checks", Json.int (Conform.Online.checked online));
+              ("online_checks", Json.Int (Conform.Online.checked online));
               ( "online_violations",
-                Json.int (Conform.Online.violations online) );
+                Json.Int (Conform.Online.violations online) );
             ] );
         ( "delivery",
           let st = Runtime.Loop.stats loop in
           Json.Obj
             [
-              ("frames_sent", Json.int st.Runtime.Loop.s_sent_msgs);
-              ("bytes_sent", Json.int st.Runtime.Loop.s_sent_bytes);
+              ("frames_sent", Json.Int st.Runtime.Loop.s_sent_msgs);
+              ("bytes_sent", Json.Int st.Runtime.Loop.s_sent_bytes);
               ( "backpressure_engagements",
-                Json.int st.Runtime.Loop.s_backpressure );
+                Json.Int st.Runtime.Loop.s_backpressure );
             ] );
         ( "traffic",
           Json.Obj
             [
-              ("commits", Json.int (commits_now ()));
-              ("commits_while_down", Json.int down_commits);
-              ("clients_completed", Json.int (completed ()));
+              ("commits", Json.Int (commits_now ()));
+              ("commits_while_down", Json.Int down_commits);
+              ("clients_completed", Json.Int (completed ()));
             ] );
         ( "checks",
           Json.Obj (List.map (fun (k, v) -> (k, Json.Bool v)) checks) );
         ("ok", Json.Bool ok);
       ]
   in
-  let text = Json.to_string artifact in
+  let text = Json.to_string artifact ^ "\n" in
   (match json_path with
   | Some file ->
       let oc = open_out file in

@@ -61,23 +61,7 @@ let impl src_dirs json =
 
 let selftest json =
   let outcomes = Analysis.Lint.selftest () in
-  if json then begin
-    let one (o : Analysis.Lint.selftest_outcome) =
-      Printf.sprintf
-        "{\"fixture\":\"%s\",\"ok\":%b,\"fired\":[%s],\"missing\":[%s]}"
-        (Analysis.Diag.json_escape o.Analysis.Lint.fixture)
-        (o.Analysis.Lint.missing = [])
-        (String.concat ","
-           (List.map (fun c -> Printf.sprintf "\"%s\"" c) o.Analysis.Lint.fired))
-        (String.concat ","
-           (List.map
-              (fun c -> Printf.sprintf "\"%s\"" c)
-              o.Analysis.Lint.missing))
-    in
-    print_endline
-      (Printf.sprintf "{\"fixtures\":[%s]}"
-         (String.concat "," (List.map one outcomes)))
-  end
+  if json then print_endline (Analysis.Lint.selftest_to_json outcomes)
   else
     List.iter
       (fun (o : Analysis.Lint.selftest_outcome) ->

@@ -34,28 +34,14 @@ let pp ppf d =
       | Some s -> Format.fprintf ppf " at %s" s)
     d.site d.message
 
-(* Hand-rolled JSON: the repo deliberately carries no JSON dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
-  Printf.sprintf
-    "{\"target\":\"%s\",\"pass\":\"%s\",\"code\":\"%s\",\"severity\":\"%s\",%s\"message\":\"%s\"}"
-    (json_escape d.target) (json_escape d.pass) (json_escape d.code)
-    (severity_string d.severity)
-    (match d.site with
-    | None -> ""
-    | Some s -> Printf.sprintf "\"site\":\"%s\"," (json_escape s))
-    (json_escape d.message)
+  let open Bytefmt.Json in
+  Obj
+    ([
+       ("target", Str d.target);
+       ("pass", Str d.pass);
+       ("code", Str d.code);
+       ("severity", Str (severity_string d.severity));
+     ]
+    @ (match d.site with None -> [] | Some s -> [ ("site", Str s) ])
+    @ [ ("message", Str d.message) ])

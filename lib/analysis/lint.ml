@@ -32,14 +32,21 @@ let pp_human ppf reports =
     (if n = 1 then "" else "s")
 
 let to_json reports =
+  let open Bytefmt.Json in
   let target_json r =
-    Printf.sprintf "{\"target\":\"%s\",\"kind\":\"%s\",\"findings\":[%s]}"
-      (Diag.json_escape r.target) (Diag.json_escape r.kind)
-      (String.concat "," (List.map Diag.to_json r.findings))
+    Obj
+      [
+        ("target", Str r.target);
+        ("kind", Str r.kind);
+        ("findings", Arr (List.map Diag.to_json r.findings));
+      ]
   in
-  Printf.sprintf "{\"targets\":[%s],\"total_findings\":%d}"
-    (String.concat "," (List.map target_json reports))
-    (total_findings reports)
+  to_string
+    (Obj
+       [
+         ("targets", Arr (List.map target_json reports));
+         ("total_findings", Int (total_findings reports));
+       ])
 
 (* Selftest: every fixture must fire every code it promises — and, to
    keep fixtures honest, must not fire codes from unrelated passes. *)
@@ -63,3 +70,17 @@ let selftest () =
     (Fixtures.all @ Impl_fixtures.all)
 
 let selftest_ok outcomes = List.for_all (fun o -> o.missing = []) outcomes
+
+let selftest_to_json outcomes =
+  let open Bytefmt.Json in
+  let codes l = Arr (List.map (fun c -> Str c) l) in
+  let one o =
+    Obj
+      [
+        ("fixture", Str o.fixture);
+        ("ok", Bool (o.missing = []));
+        ("fired", codes o.fired);
+        ("missing", codes o.missing);
+      ]
+  in
+  to_string (Obj [ ("fixtures", Arr (List.map one outcomes)) ])

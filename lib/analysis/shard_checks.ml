@@ -1,6 +1,6 @@
 (* Static checks over the sharding layer: the partition function, the
    router's decomposition invariants, and the 2PC wire artifacts (the
-   prepare/decision codecs and the stable TOB entry identity scheme the
+   prepare/decision payload codec and the stable TOB entry identity scheme the
    coordinator's re-broadcast dedup depends on).
 
    Unlike the spec passes these run concrete bounded-domain sweeps over
@@ -179,46 +179,26 @@ let coord_pass () =
   let diag = Diag.v ~pass:"shard" ~target:"2pc-coordinator" in
   let findings = ref [] in
   let report d = findings := d :: !findings in
-  (* Prepare / decision records round-trip through their codecs. *)
+  (* Prepare / decision payloads round-trip through the TOB payload
+     codec. *)
   let txn = probe_txn ~client:7 ~seq:3 [ 1; 2; 42 ] in
+  let round_trip ~site p =
+    if Codec.decode_payload (Codec.encode_payload p) <> p then
+      report
+        (diag ~code:"payload-codec-lossy" ~site
+           "2pc payload did not round-trip")
+  in
   List.iter
     (fun shard ->
-      let enc =
-        Codec.encode_prepare ~coord:9 ~shard ~participants:[ 0; shard ]
-          ~ptxn:txn
-      in
-      match Codec.decode_prepare enc with
-      | Error e ->
-          report
-            (diag ~code:"prepare-codec-broken"
-               ~site:(Printf.sprintf "shard=%d" shard)
-               "decode_prepare failed: %s" e)
-      | Ok (coord, shard', participants, ptxn) ->
-          if
-            coord <> 9 || shard' <> shard
-            || participants <> [ 0; shard ]
-            || ptxn <> txn
-          then
-            report
-              (diag ~code:"prepare-codec-lossy"
-                 ~site:(Printf.sprintf "shard=%d" shard)
-                 "prepare record did not round-trip"))
+      round_trip
+        ~site:(Printf.sprintf "prepare shard=%d" shard)
+        (Codec.P_prepare (9, shard, [ 0; shard ], txn)))
     [ 0; 1; 5 ];
   List.iter
     (fun commit ->
-      let enc = Codec.encode_decision ~shard:2 ~commit ~dtxn:txn in
-      match Codec.decode_decision enc with
-      | Error e ->
-          report
-            (diag ~code:"decision-codec-broken"
-               ~site:(Printf.sprintf "commit=%b" commit)
-               "decode_decision failed: %s" e)
-      | Ok (shard, commit', dtxn) ->
-          if shard <> 2 || commit' <> commit || dtxn <> txn then
-            report
-              (diag ~code:"decision-codec-lossy"
-                 ~site:(Printf.sprintf "commit=%b" commit)
-                 "decision record did not round-trip"))
+      round_trip
+        ~site:(Printf.sprintf "decision commit=%b" commit)
+        (Codec.P_decision (2, commit, txn)))
     [ true; false ];
   (* The coordinator's vote message round-trips through the db codec. *)
   let vote =

@@ -103,8 +103,11 @@ let is_sharded ~meta events =
   || List.exists
        (fun (e : Event.t) ->
          match e.Event.kind with
-         | Event.Deliver { payload; _ } ->
-             payload <> "" && (payload.[0] = 'P' || payload.[0] = 'D')
+         | Event.Deliver { payload; _ } -> (
+             match Shadowdb.Codec.decode_payload payload with
+             | Shadowdb.Codec.P_prepare _ | Shadowdb.Codec.P_decision _ ->
+                 true
+             | _ -> false)
          | _ -> false)
        events
 

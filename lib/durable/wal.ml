@@ -5,8 +5,8 @@
      [4-byte BE body length] [4-byte BE CRC-32 of body] [body]
 
    with body = varint idx ‖ varint aux ‖ varint hash ‖ varint payload
-   length ‖ payload. Varints are the codec-v2 zigzag LEB128 encoding, so
-   negative sentinels and full-range state hashes round-trip. [idx] is
+   length ‖ payload, written and read with {!Bytefmt.Bin} (zigzag LEB128,
+   so negative sentinels and full-range state hashes round-trip). [idx] is
    the record's position in the replicated total order, [aux] a
    caller-owned companion counter (ShadowDB stores the replica's
    delivered-entry count), [hash] the state fingerprint after applying
@@ -20,75 +20,33 @@
    the CRC covers the whole body, no proper prefix of a record is ever
    accepted (the qcheck suite proves this for every cut point). *)
 
+open Bytefmt.Bin
+
 type record = { idx : int; aux : int; hash : int; payload : string }
 
 let max_body = 256 * 1024 * 1024
 
-(* Zigzag LEB128, identical format to Shadowdb.Codec. *)
-let add_varint buf n =
-  let u = ref ((n lsl 1) lxor (n asr 62)) in
-  while !u lsr 7 <> 0 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!u land 0x7f)));
-    u := !u lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !u)
-
-(* Reads a varint at [!pos]; None on truncation/overflow. *)
-let read_varint s pos =
-  let n = String.length s in
-  let rec go acc shift =
-    if !pos >= n || shift > 62 then None
-    else begin
-      let b = Char.code s.[!pos] in
-      incr pos;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Some ((acc lsr 1) lxor (-(acc land 1)))
-      else go acc (shift + 7)
-    end
-  in
-  go 0 0
-
-let encode_body r =
-  let buf = Buffer.create (String.length r.payload + 24) in
-  add_varint buf r.idx;
-  add_varint buf r.aux;
-  add_varint buf r.hash;
-  add_varint buf (String.length r.payload);
-  Buffer.add_string buf r.payload;
-  Buffer.contents buf
-
-let decode_body s =
-  let pos = ref 0 in
-  match (read_varint s pos, read_varint s pos, read_varint s pos) with
-  | Some idx, Some aux, Some hash -> (
-      match read_varint s pos with
-      | Some plen
-        when plen >= 0 && !pos + plen = String.length s ->
-          Some { idx; aux; hash; payload = String.sub s !pos plen }
-      | _ -> None)
-  | _ -> None
+let read_body c =
+  let idx = read_varint c in
+  let aux = read_varint c in
+  let hash = read_varint c in
+  let payload = read_str c in
+  { idx; aux; hash; payload }
 
 let encode_record r =
-  let body = encode_body r in
-  let len = String.length body in
-  let buf = Buffer.create (len + 8) in
-  Buffer.add_uint8 buf ((len lsr 24) land 0xff);
-  Buffer.add_uint8 buf ((len lsr 16) land 0xff);
-  Buffer.add_uint8 buf ((len lsr 8) land 0xff);
-  Buffer.add_uint8 buf (len land 0xff);
-  let crc = Crc32.string body in
-  Buffer.add_uint8 buf ((crc lsr 24) land 0xff);
-  Buffer.add_uint8 buf ((crc lsr 16) land 0xff);
-  Buffer.add_uint8 buf ((crc lsr 8) land 0xff);
-  Buffer.add_uint8 buf (crc land 0xff);
+  let body = Buffer.create (String.length r.payload + 24) in
+  add_varint body r.idx;
+  add_varint body r.aux;
+  add_varint body r.hash;
+  add_str body r.payload;
+  let body = Buffer.contents body in
+  let buf = Buffer.create (String.length body + 8) in
+  Buffer.add_int32_be buf (Int32.of_int (String.length body));
+  Buffer.add_int32_be buf (Int32.of_int (Crc32.string body));
   Buffer.add_string buf body;
   Buffer.contents buf
 
-let be32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
+let be32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xffff_ffff
 
 type scan_result = {
   records : record list;  (* oldest first *)
@@ -111,11 +69,12 @@ let scan s =
         let crc = Crc32.update 0 s ~pos:(!pos + 8) ~len in
         if crc <> crc_stored then stop := true
         else
-          match decode_body (String.sub s (!pos + 8) len) with
-          | None -> stop := true
-          | Some r ->
+          let c = cur ~pos:(!pos + 8) s in
+          match read_body c with
+          | r when c.pos = !pos + 8 + len ->
               records := r :: !records;
-              pos := !pos + 8 + len
+              pos := c.pos
+          | _ | (exception Bad _) -> stop := true
       end
     end
   done;

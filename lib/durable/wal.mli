@@ -1,5 +1,5 @@
 (** WAL record framing: length-prefixed, CRC-checked, self-delimiting
-    records over opaque payloads (codec-v2 style varint body).
+    records over opaque payloads ({!Bytefmt.Bin} varint body).
 
     [idx] is the record's position in the replicated total order, [aux]
     a caller-owned companion counter, [hash] the state fingerprint after

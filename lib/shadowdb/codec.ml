@@ -1,115 +1,10 @@
 module Value = Storage.Value
+open Bytefmt.Bin
 
-(* v2 wire format (binary).
-
-   Encoding appends to a single [Buffer] threaded through every encoder:
-   no intermediate per-field strings. Decoding walks a cursor (immutable
-   string + mutable position): no per-field tail copies, so decoding a
-   batch is O(bytes), not O(bytes²).
-
-   Primitives:
-   - ints: zigzag-mapped LEB128 varints (1 byte for small magnitudes,
-     self-delimiting, so any truncation mid-int is detected);
-   - strings: varint byte-length followed by the raw bytes;
-   - floats: 8-byte little-endian IEEE 754 bit patterns (exact);
-   - constructors: one ASCII tag byte, kept from v1 for debuggability.
-
-   Decode errors are a private exception caught at the public API
-   boundary, where the remaining input is either returned (streaming
-   decoders) or required to be empty (whole-buffer decoders). *)
-
-exception Bad of string
-
-let bad msg = raise (Bad msg)
-
-type cur = { s : string; mutable pos : int }
-
-let cur s = { s; pos = 0 }
-let remaining c = String.length c.s - c.pos
-let rest_of c = String.sub c.s c.pos (remaining c)
-
-let read_char c =
-  if c.pos >= String.length c.s then bad "truncated input"
-  else begin
-    let ch = c.s.[c.pos] in
-    c.pos <- c.pos + 1;
-    ch
-  end
-
-(* Zigzag folds the sign into the low bit so small negative ints stay
-   short; [asr 62] is the sign fill of OCaml's 63-bit native int. *)
-let add_varint buf n =
-  let u = ref ((n lsl 1) lxor (n asr 62)) in
-  while !u lsr 7 <> 0 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!u land 0x7f)));
-    u := !u lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !u)
-
-let read_varint c =
-  let acc = ref 0 and shift = ref 0 and cont = ref true in
-  while !cont do
-    if !shift >= 63 then bad "varint too long";
-    let b = Char.code (read_char c) in
-    acc := !acc lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b land 0x80 = 0 then cont := false
-  done;
-  (!acc lsr 1) lxor - (!acc land 1)
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let read_str c =
-  let len = read_varint c in
-  if len < 0 then bad "negative string length";
-  if remaining c < len then bad "truncated string";
-  let s = String.sub c.s c.pos len in
-  c.pos <- c.pos + len;
-  s
-
-let add_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let read_float c =
-  if remaining c < 8 then bad "truncated float";
-  let bits = String.get_int64_le c.s c.pos in
-  c.pos <- c.pos + 8;
-  Int64.float_of_bits bits
-
-let add_list add buf l =
-  add_varint buf (List.length l);
-  List.iter (add buf) l
-
-let read_list read c =
-  let n = read_varint c in
-  if n < 0 then bad "negative list length";
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else
-      let v = read c in
-      go (n - 1) (v :: acc)
-  in
-  go n []
-
-(* Wraps a cursor reader into a whole-buffer decoder: all bytes must be
-   consumed, errors become [Error _]. *)
-let whole name read s =
-  try
-    let c = cur s in
-    let v = read c in
-    if remaining c <> 0 then bad ("trailing bytes after " ^ name);
-    Ok v
-  with Bad e -> Error e
-
-(* Wraps a cursor reader into a streaming decoder returning the unread
-   tail. *)
-let streaming read s =
-  try
-    let c = cur s in
-    let v = read c in
-    Ok (v, rest_of c)
-  with Bad e -> Error e
+(* v2 wire format (binary). The varint, string, float and list primitives,
+   the cursor and its truncation rules are {!Bytefmt.Bin}'s; this module
+   adds one ASCII tag byte per constructor, kept from v1 for
+   debuggability. *)
 
 (* ------------------------------------------------------------------ *)
 (* Values, transactions, configurations                                *)
@@ -137,7 +32,7 @@ let read_value c =
   | 'I' -> Value.Int (read_varint c)
   | 'F' -> Value.Float (read_float c)
   | 'S' -> Value.Text (read_str c)
-  | ch -> bad (Printf.sprintf "bad value tag %C" ch)
+  | ch -> bad c (Printf.sprintf "bad value tag %C" ch)
 
 let encode_value v =
   let buf = Buffer.create 16 in
@@ -174,29 +69,6 @@ let read_config c =
   let seq = read_varint c in
   let members = read_list read_varint c in
   { Config.seq; members }
-
-let encode_config cf =
-  let buf = Buffer.create 16 in
-  add_config buf cf;
-  Buffer.contents buf
-
-let decode_config s = whole "config" read_config s
-
-let encode_reconfig cf ~last_seq ~proposer =
-  let buf = Buffer.create 32 in
-  add_varint buf last_seq;
-  add_varint buf proposer;
-  add_config buf cf;
-  Buffer.contents buf
-
-let decode_reconfig s =
-  whole "reconfig"
-    (fun c ->
-      let last_seq = read_varint c in
-      let proposer = read_varint c in
-      let cf = read_config c in
-      (cf, last_seq, proposer))
-    s
 
 (* ------------------------------------------------------------------ *)
 (* Socket-runtime wire codecs                                          *)
@@ -262,21 +134,19 @@ let read_ballot c =
   let leader = read_varint c in
   { PM.round; leader }
 
-(* The command writer/reader is abstract so the core instantiation can
-   inline batches straight into the shared buffer, while the generic
-   string-codec interface wraps commands in a length-prefixed blob. *)
-let add_pvalue add_c buf (pv : 'c PM.pvalue) =
+(* Commands are TOB batches, inlined straight into the shared buffer. *)
+let add_pvalue buf (pv : Broadcast.Tob.batch PM.pvalue) =
   add_ballot buf pv.PM.b;
   add_varint buf pv.PM.s;
-  add_c buf pv.PM.c
+  add_batch buf pv.PM.c
 
-let read_pvalue read_c c =
+let read_pvalue c =
   let b = read_ballot c in
   let slot = read_varint c in
-  let cmd = read_c c in
+  let cmd = read_batch c in
   { PM.b; s = slot; c = cmd }
 
-let add_paxos add_c buf (m : 'c PM.t) =
+let add_paxos buf (m : Broadcast.Tob.batch PM.t) =
   match m with
   | PM.P1a { src; b } ->
       Buffer.add_char buf 'A';
@@ -286,11 +156,11 @@ let add_paxos add_c buf (m : 'c PM.t) =
       Buffer.add_char buf 'B';
       add_varint buf src;
       add_ballot buf b;
-      add_list (add_pvalue add_c) buf accepted
+      add_list add_pvalue buf accepted
   | PM.P2a { src; pv } ->
       Buffer.add_char buf 'C';
       add_varint buf src;
-      add_pvalue add_c buf pv
+      add_pvalue buf pv
   | PM.P2b { src; b; s } ->
       Buffer.add_char buf 'D';
       add_varint buf src;
@@ -299,13 +169,13 @@ let add_paxos add_c buf (m : 'c PM.t) =
   | PM.Propose { s; c } ->
       Buffer.add_char buf 'P';
       add_varint buf s;
-      add_c buf c
+      add_batch buf c
   | PM.Decision { s; c } ->
       Buffer.add_char buf 'E';
       add_varint buf s;
-      add_c buf c
+      add_batch buf c
 
-let read_paxos read_c c =
+let read_paxos c =
   match read_char c with
   | 'A' ->
       let src = read_varint c in
@@ -314,11 +184,11 @@ let read_paxos read_c c =
   | 'B' ->
       let src = read_varint c in
       let b = read_ballot c in
-      let accepted = read_list (read_pvalue read_c) c in
+      let accepted = read_list read_pvalue c in
       PM.P1b { src; b; accepted }
   | 'C' ->
       let src = read_varint c in
-      let pv = read_pvalue read_c c in
+      let pv = read_pvalue c in
       PM.P2a { src; pv }
   | 'D' ->
       let src = read_varint c in
@@ -327,31 +197,20 @@ let read_paxos read_c c =
       PM.P2b { src; b; s = slot }
   | 'P' ->
       let slot = read_varint c in
-      let cmd = read_c c in
+      let cmd = read_batch c in
       PM.Propose { s = slot; c = cmd }
   | 'E' ->
       let slot = read_varint c in
-      let cmd = read_c c in
+      let cmd = read_batch c in
       PM.Decision { s = slot; c = cmd }
-  | ch -> bad (Printf.sprintf "bad paxos tag %C" ch)
+  | ch -> bad c (Printf.sprintf "bad paxos tag %C" ch)
 
-let encode_paxos enc_c m =
+let encode_core_paxos m =
   let buf = Buffer.create 64 in
-  add_paxos (fun buf cmd -> add_str buf (enc_c cmd)) buf m;
+  add_paxos buf m;
   Buffer.contents buf
 
-let decode_paxos dec_c s =
-  whole "paxos message"
-    (read_paxos (fun c ->
-         match dec_c (read_str c) with Ok v -> v | Error e -> bad e))
-    s
-
-let encode_core_paxos (m : Broadcast.Tob.batch PM.t) =
-  let buf = Buffer.create 64 in
-  add_paxos add_batch buf m;
-  Buffer.contents buf
-
-let decode_core_paxos s = whole "paxos message" (read_paxos read_batch) s
+let decode_core_paxos s = whole "paxos message" read_paxos s
 
 (* Database replication messages. *)
 
@@ -361,7 +220,7 @@ let add_varray buf (a : Value.t array) =
 
 let read_varray c =
   let n = read_varint c in
-  if n < 0 then bad "negative array length";
+  if n < 0 then bad c "negative array length";
   Array.init n (fun _ -> read_value c)
 
 let add_row buf ((key, a) : string * Value.t array) =
@@ -394,7 +253,7 @@ let read_reply c =
   | 'X' ->
       let e = read_str c in
       { Txn.client; seq; outcome = Error e }
-  | ch -> bad (Printf.sprintf "bad reply tag %C" ch)
+  | ch -> bad c (Printf.sprintf "bad reply tag %C" ch)
 
 let add_catchup_item buf ((g, t) : int * Txn.t) =
   add_varint buf g;
@@ -504,7 +363,7 @@ let read_db_msg c =
       let vote = read_reply c in
       let vtxn = read_txn c in
       Db_msg.Vote { shard; participants; vote; vtxn }
-  | ch -> bad (Printf.sprintf "bad db message tag %C" ch)
+  | ch -> bad c (Printf.sprintf "bad db message tag %C" ch)
 
 let encode_db_msg m =
   let buf = Buffer.create 64 in
@@ -513,43 +372,67 @@ let encode_db_msg m =
 
 let decode_db_msg s = whole "db message" read_db_msg s
 
-(* Sharded 2PC broadcast payloads. These travel inside each participant
-   shard's own TOB stream (payload tags 'P' / 'D' at the System layer),
-   so they are encoded bare here and framed by the caller. *)
+(* TOB entry payloads: the one place their tag bytes are known. A payload
+   is written into the buffer behind its tag and decoded from the cursor
+   right after it, so nothing copies the body. *)
 
-let encode_prepare ~coord ~shard ~participants ~ptxn =
-  let buf = Buffer.create 64 in
-  add_varint buf coord;
-  add_varint buf shard;
-  add_list add_varint buf participants;
-  add_txn buf ptxn;
-  Buffer.contents buf
+type payload =
+  | P_txn of Txn.t
+  | P_reconfig of Config.t * int * int
+  | P_prepare of int * int * int list * Txn.t
+  | P_decision of int * bool * Txn.t
+  | P_bytes of string
 
-let decode_prepare s =
-  whole "2pc prepare"
-    (fun c ->
+let add_payload buf = function
+  | P_txn t ->
+      Buffer.add_char buf 'T';
+      add_txn buf t
+  | P_reconfig (cf, last_seq, proposer) ->
+      Buffer.add_char buf 'R';
+      add_varint buf last_seq;
+      add_varint buf proposer;
+      add_config buf cf
+  | P_prepare (coord, shard, participants, ptxn) ->
+      Buffer.add_char buf 'P';
+      add_varint buf coord;
+      add_varint buf shard;
+      add_list add_varint buf participants;
+      add_txn buf ptxn
+  | P_decision (shard, commit, dtxn) ->
+      Buffer.add_char buf 'D';
+      add_varint buf shard;
+      Buffer.add_char buf (if commit then '\001' else '\000');
+      add_txn buf dtxn
+  | P_bytes s -> Buffer.add_string buf s
+
+let read_payload c =
+  match read_char c with
+  | 'T' -> P_txn (read_txn c)
+  | 'R' ->
+      let last_seq = read_varint c in
+      let proposer = read_varint c in
+      let cf = read_config c in
+      P_reconfig (cf, last_seq, proposer)
+  | 'P' ->
       let coord = read_varint c in
       let shard = read_varint c in
       let participants = read_list read_varint c in
       let ptxn = read_txn c in
-      (coord, shard, participants, ptxn))
-    s
-
-let encode_decision ~shard ~commit ~dtxn =
-  let buf = Buffer.create 64 in
-  add_varint buf shard;
-  Buffer.add_char buf (if commit then '\001' else '\000');
-  add_txn buf dtxn;
-  Buffer.contents buf
-
-let decode_decision s =
-  whole "2pc decision"
-    (fun c ->
+      P_prepare (coord, shard, participants, ptxn)
+  | 'D' ->
       let shard = read_varint c in
       let commit = read_char c <> '\000' in
       let dtxn = read_txn c in
-      (shard, commit, dtxn))
-    s
+      P_decision (shard, commit, dtxn)
+  | ch -> bad c (Printf.sprintf "bad payload tag %C" ch)
+
+let encode_payload p =
+  let buf = Buffer.create 64 in
+  add_payload buf p;
+  Buffer.contents buf
+
+let decode_payload s =
+  match whole "payload" read_payload s with Ok p -> p | Error _ -> P_bytes s
 
 (* Bare row dumps: the durability layer's snapshot payload (a whole
    [Database.dump] image, no message framing around it). *)

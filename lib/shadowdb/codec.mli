@@ -1,12 +1,11 @@
-(** Wire codecs: values, transactions, and group configurations to and
+(** Wire codecs: values, transactions, messages and TOB payloads to and
     from strings (the broadcast service carries opaque string payloads).
 
-    v2 binary format: one ASCII tag byte per constructor, zigzag LEB128
-    varints for ints, varint-length-prefixed raw bytes for strings (so
-    arbitrary text in values round-trips), 8-byte little-endian IEEE 754
-    for floats. Encoders share one [Buffer]; decoders walk a cursor with
-    no tail copies. See DESIGN.md for the format and its truncation
-    -rejection argument. *)
+    v2 binary format: one ASCII tag byte per constructor over
+    {!Bytefmt.Bin}'s primitives (zigzag LEB128 varints, varint-length-
+    prefixed raw bytes, 8-byte little-endian IEEE 754 floats). Encoders
+    share one [Buffer]; decoders walk a cursor with no tail copies. See
+    DESIGN.md for the format and its truncation-rejection argument. *)
 
 val encode_value : Storage.Value.t -> string
 val decode_value : string -> (Storage.Value.t * string, string) result
@@ -15,20 +14,12 @@ val decode_value : string -> (Storage.Value.t * string, string) result
 val encode_txn : Txn.t -> string
 val decode_txn : string -> (Txn.t, string) result
 
-val encode_config : Config.t -> string
-val decode_config : string -> (Config.t, string) result
-
-val encode_reconfig : Config.t -> last_seq:int -> proposer:int -> string
-val decode_reconfig : string -> (Config.t * int * int, string) result
-(** SMR reconfiguration request: new config, proposer's last executed
-    sequence number, proposer location. *)
-
 (** {1 Socket-runtime wire codecs}
 
     Full message codecs for running ShadowDB nodes over real sockets:
     broadcast entries and delivery notifications, Paxos protocol messages
-    (parameterized by a command codec), and database replication
-    messages. All decoders reject truncated or trailing bytes. *)
+    over TOB batches, and database replication messages. All decoders
+    reject truncated or trailing bytes. *)
 
 val encode_entry : Broadcast.Tob.entry -> string
 
@@ -48,17 +39,9 @@ val decode_batch_all : string -> (Broadcast.Tob.batch, string) result
 val encode_deliver : Broadcast.Tob.deliver -> string
 val decode_deliver : string -> (Broadcast.Tob.deliver, string) result
 
-val encode_paxos :
-  ('c -> string) -> 'c Consensus.Paxos_msg.t -> string
-
-val decode_paxos :
-  (string -> ('c, string) result) ->
-  string ->
-  ('c Consensus.Paxos_msg.t, string) result
-
 val encode_core_paxos : Broadcast.Tob.batch Consensus.Paxos_msg.t -> string
-(** {!encode_paxos} instantiated at the TOB batch command type — the
-    consensus core the paper's broadcast service actually runs. *)
+(** Paxos messages whose commands are TOB batches — the consensus core
+    the paper's broadcast service actually runs. *)
 
 val decode_core_paxos :
   string -> (Broadcast.Tob.batch Consensus.Paxos_msg.t, string) result
@@ -66,23 +49,30 @@ val decode_core_paxos :
 val encode_db_msg : Db_msg.t -> string
 val decode_db_msg : string -> (Db_msg.t, string) result
 
-(** {1 Sharded 2PC payloads}
+(** {1 TOB entry payloads}
 
-    Prepare and decision records for cross-shard transactions. They ride
-    inside each participant shard's own TOB stream, so they are encoded
-    bare here — the System layer frames them with its payload tag. *)
+    What a TOB entry carries: a client transaction, an SMR
+    reconfiguration proposal, or a sharded 2PC prepare or decision. One
+    tag byte (['T'], ['R'], ['P'], ['D']) followed by the body. *)
 
-val encode_prepare :
-  coord:int -> shard:int -> participants:int list -> ptxn:Txn.t -> string
+type payload =
+  | P_txn of Txn.t
+  | P_reconfig of Config.t * int * int
+      (** configuration, proposer's last executed seq, proposer *)
+  | P_prepare of int * int * int list * Txn.t
+      (** coordinator, shard, participants, sub-transaction *)
+  | P_decision of int * bool * Txn.t
+      (** shard, commit?, sub-transaction — the decision carries the
+          sub-transaction so a replica that missed the prepare can still
+          apply a commit *)
+  | P_bytes of string
+      (** unrecognized or corrupt; encodes as the raw bytes *)
 
-val decode_prepare : string -> (int * int * int list * Txn.t, string) result
-(** [(coord, shard, participants, ptxn)]. *)
+val encode_payload : payload -> string
 
-val encode_decision : shard:int -> commit:bool -> dtxn:Txn.t -> string
-
-val decode_decision : string -> (int * bool * Txn.t, string) result
-(** [(shard, commit, dtxn)] — the decision carries the sub-transaction
-    so a replica that missed the prepare can still apply a commit. *)
+val decode_payload : string -> payload
+(** Total: anything that is not a well-formed tagged payload comes back
+    as [P_bytes]. *)
 
 val encode_rows : (string * Storage.Value.t array) list -> string
 val decode_rows :

@@ -3,8 +3,8 @@
    PBR, chain and SMR are built on one broadcast service (paper Sec. III)
    and reconfigure the same way: detect a silent member, propose the
    successor configuration through the TOB, and bring the newcomer up to
-   date with a snapshot. Those mechanisms, the TOB payload tags and the
-   wire format live here once; the protocol modules ({!Pbr}, {!Smr},
+   date with a snapshot. Those mechanisms and the wire format live here
+   once (the TOB payload tags are {!Codec}'s); the protocol modules ({!Pbr}, {!Smr},
    {!Sharded}) keep only what differs. *)
 
 module R = Runtime
@@ -13,18 +13,7 @@ module Tob = Broadcast.Tob
 
 type loc = int
 
-let tob_payload_txn txn = "T" ^ Codec.encode_txn txn
-
-let tob_payload_reconfig cfg ~last_seq ~proposer =
-  "R" ^ Codec.encode_reconfig cfg ~last_seq ~proposer
-
-let tob_payload_prepare ~coord ~shard ~participants ~ptxn =
-  "P" ^ Codec.encode_prepare ~coord ~shard ~participants ~ptxn
-
-let tob_payload_decision ~shard ~commit ~dtxn =
-  "D" ^ Codec.encode_decision ~shard ~commit ~dtxn
-
-type decoded_payload =
+type decoded_payload = Codec.payload =
   | P_txn of Txn.t
   | P_reconfig of Config.t * int * loc
   | P_prepare of loc * int * int list * Txn.t
@@ -32,29 +21,7 @@ type decoded_payload =
   | P_decision of int * bool * Txn.t  (* shard, commit?, sub-transaction *)
   | P_bytes of string
 
-let decode_payload s =
-  if s = "" then P_bytes s
-  else
-    let body = String.sub s 1 (String.length s - 1) in
-    match s.[0] with
-    | 'T' -> (
-        match Codec.decode_txn body with
-        | Ok t -> P_txn t
-        | Error _ -> P_bytes s)
-    | 'R' -> (
-        match Codec.decode_reconfig body with
-        | Ok (c, ls, pr) -> P_reconfig (c, ls, pr)
-        | Error _ -> P_bytes s)
-    | 'P' -> (
-        match Codec.decode_prepare body with
-        | Ok (coord, shard, parts, ptxn) ->
-            P_prepare (coord, shard, parts, ptxn)
-        | Error _ -> P_bytes s)
-    | 'D' -> (
-        match Codec.decode_decision body with
-        | Ok (shard, commit, dtxn) -> P_decision (shard, commit, dtxn)
-        | Error _ -> P_bytes s)
-    | _ -> P_bytes s
+let decode_payload = Codec.decode_payload
 
 type tuning = {
   hb_interval : float;
@@ -190,7 +157,7 @@ let check_suspicion ctx n ~submit =
         Tob.origin = n.self;
         id = n.tob_seq;
         payload =
-          tob_payload_reconfig proposal ~last_seq:n.gseq ~proposer:n.self;
+          Codec.encode_payload (P_reconfig (proposal, n.gseq, n.self));
       }
   end
 

@@ -74,7 +74,8 @@ module Make (C : Consensus.Consensus_intf.S) = struct
           id =
             Shard.entry_id ~phase:`Prepare ~client:ptxn.Txn.client
               ~seq:ptxn.Txn.seq ~shard;
-          payload = tob_payload_prepare ~coord:self ~shard ~participants ~ptxn;
+          payload =
+            Codec.encode_payload (P_prepare (self, shard, participants, ptxn));
         }
     in
     let arm_pump ctx =
@@ -163,7 +164,8 @@ module Make (C : Consensus.Consensus_intf.S) = struct
                   id =
                     Shard.entry_id ~phase:`Decision ~client:dtxn.Txn.client
                       ~seq:dtxn.Txn.seq ~shard;
-                  payload = tob_payload_decision ~shard ~commit ~dtxn;
+                  payload =
+                    Codec.encode_payload (P_decision (shard, commit, dtxn));
                 });
           arm_pump ctx
       | R.Timer { tag = "expire"; _ } ->
@@ -199,7 +201,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
                       {
                         Tob.origin = txn.Txn.client;
                         id = txn.Txn.seq;
-                        payload = tob_payload_txn txn;
+                        payload = Codec.encode_payload (P_txn txn);
                       }
                 | Shard.Distributed parts ->
                     let participants = List.map fst parts in

@@ -2,7 +2,7 @@
 
    [Make] is parameterized by the consensus core of the broadcast service
    (Paxos in the paper's evaluation; TwoThird also works). It assembles
-   the parts: the shared replica core ({!Replica}: TOB payload tags,
+   the parts: the shared replica core ({!Replica}: the TOB payload type,
    tuning, wire format, heartbeats and suspicion, snapshot transfer),
    primary-backup and chain replication ({!Pbr}), state-machine
    replication with durability and the 2PC participant ({!Smr}), and the
@@ -41,7 +41,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       {
         Tob.origin = txn.Txn.client;
         id = txn.Txn.seq;
-        payload = tob_payload_txn txn;
+        payload = Codec.encode_payload (P_txn txn);
       }
     in
     (* [dispatch ctx ~attempt txn] routes one submission; [attempt]

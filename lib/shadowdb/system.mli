@@ -22,11 +22,7 @@
 
 type loc = int
 
-val tob_payload_txn : Txn.t -> string
-(** TOB entry payload for a client transaction (tag byte ['T'] followed
-    by the codec-v2 transaction encoding). *)
-
-type decoded_payload =
+type decoded_payload = Codec.payload =
   | P_txn of Txn.t
   | P_reconfig of Config.t * int * loc
       (** configuration, proposer's last executed seq, proposer *)
@@ -36,9 +32,9 @@ type decoded_payload =
   | P_bytes of string  (** unrecognized or corrupt *)
 
 val decode_payload : string -> decoded_payload
-(** Decode a TOB entry payload by its tag byte. Total: anything
-    unrecognized comes back as {!P_bytes}. The conformance checker uses
-    this to re-execute recorded deliveries against a shadow database. *)
+(** {!Codec.decode_payload}. Total: anything unrecognized comes back as
+    {!P_bytes}. The conformance checker uses this to re-execute recorded
+    deliveries against a shadow database. *)
 
 type tuning = {
   hb_interval : float;  (** Heartbeat period between replicas. *)

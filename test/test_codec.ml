@@ -301,6 +301,38 @@ let test_golden_truncations () =
     "every paxos truncation rejected" true
     (rejects_prefixes ~dec:Codec.decode_core_paxos golden_paxos_bytes)
 
+(* A TOB payload is its tag byte followed by the body's own encoding. *)
+let test_golden_payload () =
+  Alcotest.(check string)
+    "txn payload golden bytes" ("T" ^ golden_txn_bytes)
+    (Codec.encode_payload (Codec.P_txn golden_txn));
+  Alcotest.(check bool)
+    "txn payload golden decodes" true
+    (Codec.decode_payload ("T" ^ golden_txn_bytes) = Codec.P_txn golden_txn);
+  Alcotest.(check bool)
+    "trailing byte makes it opaque" true
+    (Codec.decode_payload ("T" ^ golden_txn_bytes ^ "\x00")
+    = Codec.P_bytes ("T" ^ golden_txn_bytes ^ "\x00"))
+
+(* ------------------------------------------------------------------ *)
+(* JSON writer                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The drill's counters once went through [%.6g] and came out as
+   1.23457e+06; [Int] prints every integer exactly. *)
+let test_json_ints_exact () =
+  let module J = Bytefmt.Json in
+  Alcotest.(check string) "1234567" "1234567" (J.to_string (J.Int 1234567));
+  Alcotest.(check string)
+    "max_int" (string_of_int max_int)
+    (J.to_string (J.Int max_int));
+  Alcotest.(check string)
+    "layout"
+    (String.concat "\n"
+       [ "{"; {|  "a": [|}; "    1,"; {|    "x\"\n"|}; "  ],"; {|  "b": {}|}; "}" ])
+    (J.to_string
+       (J.Obj [ ("a", J.Arr [ J.Int 1; J.Str "x\"\n" ]); ("b", J.Obj []) ]))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "codec"
@@ -328,5 +360,9 @@ let () =
           Alcotest.test_case "decodings" `Quick test_golden_decodings;
           Alcotest.test_case "truncations rejected" `Quick
             test_golden_truncations;
+          Alcotest.test_case "payload" `Quick test_golden_payload;
         ] );
+      ( "json",
+        [ Alcotest.test_case "ints exact, one layout" `Quick test_json_ints_exact ]
+      );
     ]

@@ -103,6 +103,68 @@ let test_codec_corrupt_header () =
   | Ok _ -> Alcotest.fail "unknown event tag accepted"
   | Error _ -> ()
 
+(* A hostile length prefix: magic, one meta pair whose key claims
+   [max_int] bytes. [pos + max_int] overflows, so a naive bounds check
+   passes and the substring read raises instead of failing to decode. *)
+let test_codec_overflowing_length () =
+  let b = Buffer.create 16 in
+  Buffer.add_string b "SDTR1";
+  Buffer.add_char b '\x02';
+  Buffer.add_string b "\xfe\xff\xff\xff\xff\xff\xff\xff\x7f";
+  match TF.decode (Buffer.contents b) with
+  | Ok _ -> Alcotest.fail "overflowing key length decoded"
+  | Error _ -> ()
+  | exception e ->
+      Alcotest.failf "decode raised %s" (Printexc.to_string e)
+
+(* Hostile bytes: every decoder that reads bytes from outside the process
+   (trace files, wire messages, TOB payloads, WAL images) is total — it
+   returns an error or an opaque value and never raises. Inputs are
+   arbitrary strings and valid encodings with a cut, a flipped byte, or a
+   maximal varint spliced in. *)
+let hostile_seeds =
+  let txn =
+    { Shadowdb.Txn.client = 3; seq = 9; kind = "deposit"; params = [] }
+  in
+  [
+    TF.encode ~meta:sample_meta sample_events;
+    Shadowdb.Codec.encode_db_msg (Shadowdb.Db_msg.Client_txn txn);
+    Shadowdb.Codec.encode_core_paxos
+      (Consensus.Paxos_msg.Propose
+         { s = 4; c = [ { Broadcast.Tob.origin = 1; id = 2; payload = "p" } ]
+         });
+    Shadowdb.Codec.encode_payload
+      (Shadowdb.Codec.P_prepare (0, 1, [ 0; 1 ], txn));
+    Durable.Wal.encode_record
+      { Durable.Wal.idx = 1; aux = 2; hash = 3; payload = "wal" };
+  ]
+
+let gen_hostile =
+  let open QCheck.Gen in
+  let splice s =
+    int_bound (String.length s) >>= fun i ->
+    oneof
+      [
+        return (String.sub s 0 i);
+        map (fun ch -> String.mapi (fun j c -> if j = i then ch else c) s) char;
+        return
+          (String.sub s 0 i ^ "\xfe\xff\xff\xff\xff\xff\xff\xff\x7f"
+          ^ String.sub s i (String.length s - i));
+      ]
+  in
+  oneof [ string; oneofl hostile_seeds >>= splice ]
+
+let prop_hostile_bytes =
+  QCheck.Test.make ~name:"hostile bytes never raise" ~count:2000
+    (QCheck.make ~print:String.escaped gen_hostile)
+    (fun s ->
+      ignore (TF.decode s);
+      ignore (Shadowdb.Codec.decode_db_msg s);
+      ignore (Shadowdb.Codec.decode_core_paxos s);
+      ignore (Shadowdb.Codec.decode_payload s);
+      ignore (Durable.Wal.scan s);
+      true)
+
 (* ------------------------------ replay ------------------------------- *)
 
 let divergences events =
@@ -301,6 +363,9 @@ let () =
             test_codec_trailing_rejected;
           Alcotest.test_case "corrupt header rejected" `Quick
             test_codec_corrupt_header;
+          Alcotest.test_case "overflowing length rejected" `Quick
+            test_codec_overflowing_length;
+          QCheck_alcotest.to_alcotest prop_hostile_bytes;
         ] );
       ( "replay",
         [

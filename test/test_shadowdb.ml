@@ -492,11 +492,10 @@ let prop_config_codec_roundtrip =
     (fun (seq, members) ->
       let c = { Shadowdb.Config.seq; members } in
       match
-        Shadowdb.Codec.decode_reconfig
-          (Shadowdb.Codec.encode_reconfig c ~last_seq:42 ~proposer:7)
+        Shadowdb.Codec.(decode_payload (encode_payload (P_reconfig (c, 42, 7))))
       with
-      | Ok (c', 42, 7) -> Shadowdb.Config.equal c c'
-      | Ok _ | Error _ -> false)
+      | Shadowdb.Codec.P_reconfig (c', 42, 7) -> Shadowdb.Config.equal c c'
+      | _ -> false)
 
 let test_config_next () =
   let c = Shadowdb.Config.initial [ 1; 2; 3 ] in
