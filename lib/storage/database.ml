@@ -74,16 +74,31 @@ let log_undo t u =
 (* Physical writes: keep secondary indexes in sync with the row store. *)
 let index_key row (idx : index) key = row.(idx.column) :: key
 
+(* Structural identity of two column values. An index entry is rewritten
+   only when its column changed; [Value.compare] would call [Int 1] and
+   [Float 1.0] equal and leave the old value's entry behind. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Float _, _ | _, Value.Float _ -> false
+  | _ -> a = b
+
 let raw_insert tb key row =
-  (match tb.store.Store.find key with
-  | Some old ->
-      Hashtbl.iter
-        (fun _ idx -> idx.entries <- Btree.remove idx.entries (index_key old idx key))
-        tb.indexes
-  | None -> ());
+  let old =
+    if Hashtbl.length tb.indexes = 0 then None else tb.store.Store.find key
+  in
   tb.store.Store.insert key row;
   Hashtbl.iter
-    (fun _ idx -> idx.entries <- Btree.insert idx.entries (index_key row idx key) ())
+    (fun _ idx ->
+      match old with
+      | Some old when same_value old.(idx.column) row.(idx.column) -> ()
+      | Some old ->
+          idx.entries <-
+            Btree.insert
+              (Btree.remove idx.entries (index_key old idx key))
+              (index_key row idx key) ()
+      | None -> idx.entries <- Btree.insert idx.entries (index_key row idx key) ())
     tb.indexes
 
 let raw_delete tb key =
@@ -325,30 +340,42 @@ let indexed_columns t name =
       Hashtbl.fold (fun c _ acc -> c :: acc) tb.indexes []
       |> List.sort String.compare
 
-(* Equality lookup through a secondary index: visits only matching
-   entries (charged as point reads), not the whole table. *)
-let lookup_eq t name ~column ~value =
+let rec has_prefix prefix key =
+  match (prefix, key) with
+  | [], _ -> true
+  | p :: prefix, k :: key -> Value.compare p k = 0 && has_prefix prefix key
+  | _ :: _, [] -> false
+
+(* Ordered walk over the index entries [value :: primary key] that start
+   with [prefix], from [lo] on, until [f] says stop or the prefix ends:
+   O(entries visited) on every backend, since the index is a B-tree.
+   Each visited entry is a leaf step plus a row fetch, a few sequential
+   reads far below a cold point read; the descent is one point read. *)
+let index_walk t name ~column ~prefix ?(lo = prefix) f =
   with_table t name (fun tb ->
       match Hashtbl.find_opt tb.indexes (String.uppercase_ascii column) with
       | None -> Error (Printf.sprintf "%s: no index on %s" name column)
       | Some idx ->
-          let out = ref [] in
-          Btree.iter_while
-            ~lo:(Some [ value ])
+          let lo = if Store.key_compare lo prefix < 0 then prefix else lo in
+          Btree.iter_while ~lo:(Some lo)
             (fun composite () ->
-              match composite with
-              | v :: pkey when Value.compare v value = 0 ->
-                  (* Index leaf traversal plus row fetch: a few sequential
-                     reads per matching row, far below a cold point read. *)
-                  charge t (t.prof.Cost.scan_row *. 4.0);
-                  (match tb.store.Store.find pkey with
-                  | Some row -> out := row :: !out
-                  | None -> ());
-                  true
-              | _ -> false)
+              has_prefix prefix composite
+              && begin
+                   charge t (t.prof.Cost.scan_row *. 4.0);
+                   match tb.store.Store.find (List.tl composite) with
+                   | Some row -> f row
+                   | None -> true
+                 end)
             idx.entries;
           charge t t.prof.Cost.point_read;
-          Ok (List.rev !out))
+          Ok ())
+
+let lookup_eq t name ~column ~value =
+  let out = ref [] in
+  index_walk t name ~column ~prefix:[ value ] (fun row ->
+      out := row :: !out;
+      true)
+  |> Result.map (fun () -> List.rev !out)
 
 let content_hash t =
   let acc = ref 0 in

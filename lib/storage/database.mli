@@ -89,10 +89,22 @@ val create_index : t -> string -> string -> (unit, string) result
 val drop_index : t -> string -> string -> bool
 val indexed_columns : t -> string -> string list
 
+val index_walk :
+  t -> string -> column:string -> prefix:Value.t list -> ?lo:Value.t list ->
+  (Value.t array -> bool) -> (unit, string) result
+(** [index_walk db table ~column ~prefix ?lo f] visits, in ascending
+    order, the rows whose entry in the secondary index on [column] — the
+    key [value :: primary key] — starts with [prefix]. It begins at the
+    first entry [≥ lo] (default [prefix]; a [lo] below [prefix] counts as
+    [prefix]) and stops when [f] returns [false] or the prefix ends.
+    Charges a few sequential reads per entry visited plus one point read,
+    so the cost is O(entries visited), not O(table). [Error] when no such
+    index exists. *)
+
 val lookup_eq :
   t -> string -> column:string -> value:Value.t -> (Value.t array list, string) result
-(** Equality lookup through the secondary index on [column] (charged as
-    point reads); [Error] when no such index exists. *)
+(** Every row whose [column] equals [value], in primary-key order: the
+    {!index_walk} over prefix [[value]]. *)
 
 val content_hash : t -> int
 (** Order-insensitive digest of schemas and rows — used by the

@@ -222,15 +222,21 @@ let ins db table row =
   | Ok () -> ()
   | Error e -> raise (Abort e)
 
-(* Equality retrieval through a secondary index when available, filtered
-   by [pred]; falls back to a scan on unindexed deployments. *)
-let where db table column value pred =
-  match Database.lookup_eq db table ~column ~value with
-  | Ok rows -> List.filter pred rows
-  | Error _ -> (
-      match Database.scan db table ~pred with
-      | Ok rows -> rows
-      | Error e -> raise (Abort e))
+(* An ordered walk over one index of [index_plan] (keys are
+   [column value :: primary key]); [f] returns [false] to stop early. *)
+let walk db table column ~prefix ?lo f =
+  match Database.index_walk db table ~column ~prefix ?lo f with
+  | Ok () -> ()
+  | Error e -> raise (Abort e)
+
+(* The lines of one order, in line-number order. *)
+let order_lines db d o_id =
+  let lines = ref [] in
+  walk db "ORDER_LINE" "OL_D_ID" ~prefix:[ vi d; vi w_id; vi d; vi o_id ]
+    (fun r ->
+      lines := r :: !lines;
+      true);
+  List.rev !lines
 
 (* Transaction procedures. Parameters fully determine execution, so every
    replica aborts or commits identically (paper's determinism premise). *)
@@ -303,23 +309,16 @@ let proc_order_status db params =
   match params with
   | [ Value.Int d; Value.Int c ] ->
       let cust = find db "CUSTOMER" [ vi w_id; vi d; vi c ] in
-      let orders =
-        where db "ORDERS" "O_C_ID" (vi c) (fun r ->
-            get_i r.(1) = d && get_i r.(3) = c)
-      in
-      let last =
-        List.fold_left
-          (fun acc r -> if acc = None || get_i r.(2) > get_i (Option.get acc).(2) then Some r else acc)
-          None orders
-      in
-      (match last with
+      (* The customer's orders in this district, ascending by O_ID: the
+         last one visited is the most recent. *)
+      let last = ref None in
+      walk db "ORDERS" "O_C_ID" ~prefix:[ vi c; vi w_id; vi d ] (fun r ->
+          last := Some r;
+          true);
+      (match !last with
       | None -> Ok [ [| cust.(4) |] ]
       | Some o ->
-          let o_id = get_i o.(2) in
-          let lines =
-            where db "ORDER_LINE" "OL_D_ID" (vi d) (fun r ->
-                get_i r.(1) = d && get_i r.(2) = o_id)
-          in
+          let lines = order_lines db d (get_i o.(2)) in
           Ok ([| cust.(4); o.(2); o.(5) |] :: lines))
   | _ -> Error "order_status: bad parameters"
 
@@ -334,14 +333,15 @@ let proc_delivery db params =
       List.iter
         (fun drow ->
           let d = get_i drow.(1) in
-          let news =
-            where db "NEW_ORDER" "NO_D_ID" (vi d) (fun r -> get_i r.(1) = d)
-          in
-          match news with
-          | [] -> ()
-          | first :: _ ->
-              (* index/scan order is ascending, so the head is the oldest
-                 undelivered order of the district. *)
+          (* The index is ascending by NO_O_ID, so the first entry is the
+             oldest undelivered order of the district. *)
+          let oldest = ref None in
+          walk db "NEW_ORDER" "NO_D_ID" ~prefix:[ vi d; vi w_id; vi d ] (fun r ->
+              oldest := Some r;
+              false);
+          match !oldest with
+          | None -> ()
+          | Some first ->
               let o_id = get_i first.(2) in
               (match Database.delete db "NEW_ORDER" [ vi w_id; vi d; vi o_id ] with
               | Ok _ -> ()
@@ -351,10 +351,7 @@ let proc_delivery db params =
               upd db "ORDERS" [ vi w_id; vi d; vi o_id ] (fun r ->
                   r.(5) <- vi carrier;
                   r);
-              let lines =
-                where db "ORDER_LINE" "OL_D_ID" (vi d) (fun r ->
-                    get_i r.(1) = d && get_i r.(2) = o_id)
-              in
+              let lines = order_lines db d o_id in
               let amount =
                 List.fold_left (fun a r -> a + get_i r.(6)) 0 lines
               in
@@ -380,11 +377,14 @@ let proc_stock_level db params =
   | [ Value.Int d; Value.Int threshold ] ->
       let district = find db "DISTRICT" [ vi w_id; vi d ] in
       let next_o = get_i district.(5) in
-      let lines =
-        where db "ORDER_LINE" "OL_D_ID" (vi d) (fun r ->
-            get_i r.(1) = d && get_i r.(2) >= next_o - 20)
-      in
-      let items = List.sort_uniq compare (List.map (fun r -> get_i r.(4)) lines) in
+      (* The lines of the district's last 20 orders. *)
+      let items = ref [] in
+      walk db "ORDER_LINE" "OL_D_ID" ~prefix:[ vi d; vi w_id; vi d ]
+        ~lo:[ vi d; vi w_id; vi d; vi (next_o - 20) ]
+        (fun r ->
+          items := get_i r.(4) :: !items;
+          true);
+      let items = List.sort_uniq compare !items in
       let low =
         List.filter
           (fun i ->

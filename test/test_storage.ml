@@ -388,6 +388,204 @@ let prop_index_agrees_with_scan =
           via_index = via_scan)
         [ 0; 1; 2; 3; 4; 5 ])
 
+(* The index walk against its reference, on every backend: after random
+   writes (indexed column changed or not), rolled-back transactions and
+   snapshot reloads, (1) a walk with a random prefix, start and stop point
+   returns the rows a filtered full scan says it should, and (2) each
+   index answers every value prefix with the same rows, at the same
+   visit cost, as an index freshly built over the same rows. (2) is the
+   guard on [raw_insert] leaving entries alone when their column did not
+   change: a stale entry shows as a wrong row or an extra charged visit. *)
+
+let walk_schema =
+  Schema.v ~table:"W"
+    ~columns:
+      [
+        ("A", Value.T_int);
+        ("B", Value.T_int);
+        ("G", Value.T_int);
+        ("H", Value.T_int);
+        ("V", Value.T_int);
+      ]
+    ~pkey:[ "A"; "B" ]
+
+let walk_indexes = [ ("G", 2); ("H", 3) ]
+
+type wop =
+  | W_insert of int * int * int * int
+  | W_upsert of int * int * int * int
+  | W_update of int * int * int * int  (* key, column 2..4, value *)
+  | W_delete of int * int
+  | W_rollback of wop list
+  | W_reload
+
+let rec wop_to_string = function
+  | W_insert (a, b, g, h) -> Printf.sprintf "ins(%d,%d,%d,%d)" a b g h
+  | W_upsert (a, b, g, h) -> Printf.sprintf "ups(%d,%d,%d,%d)" a b g h
+  | W_update (a, b, c, v) -> Printf.sprintf "upd(%d,%d).%d=%d" a b c v
+  | W_delete (a, b) -> Printf.sprintf "del(%d,%d)" a b
+  | W_rollback ops ->
+      "rollback[" ^ String.concat ";" (List.map wop_to_string ops) ^ "]"
+  | W_reload -> "reload"
+
+let gen_wops =
+  let open QCheck.Gen in
+  let small = int_bound 4 in
+  let flat =
+    frequency
+      [
+        (3, map (fun (a, b, g, h) -> W_insert (a, b, g, h)) (quad small small small small));
+        (2, map (fun (a, b, g, h) -> W_upsert (a, b, g, h)) (quad small small small small));
+        ( 4,
+          map
+            (fun (a, b, c, v) -> W_update (a, b, 2 + c, v))
+            (quad small small (int_bound 2) small) );
+        (2, map2 (fun a b -> W_delete (a, b)) small small);
+      ]
+  in
+  list_size (0 -- 40)
+    (frequency
+       [
+         (10, flat);
+         (1, map (fun ops -> W_rollback ops) (list_size (0 -- 8) flat));
+         (1, return W_reload);
+       ])
+
+type walk_query = {
+  q_col : string * int;
+  q_prefix : int list;
+  q_lo : int list;
+  q_stop : int;  (* rows taken before [f] says stop; 0 = never *)
+}
+
+let gen_queries =
+  let open QCheck.Gen in
+  let key = list_size (0 -- 3) (int_bound 4) in
+  list_size (1 -- 8)
+    (map
+       (fun (col, prefix, lo, stop) ->
+         { q_col = col; q_prefix = prefix; q_lo = lo; q_stop = stop })
+       (quad (oneofl walk_indexes) key key (int_bound 4)))
+
+let query_to_string q =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "%s prefix [%s] lo [%s] stop %d" (fst q.q_col)
+    (ints q.q_prefix) (ints q.q_lo) q.q_stop
+
+let arb_walk =
+  QCheck.make
+    ~print:(fun (ops, qs) ->
+      String.concat ";" (List.map wop_to_string ops)
+      ^ " / "
+      ^ String.concat "; " (List.map query_to_string qs))
+    QCheck.Gen.(pair gen_wops gen_queries)
+
+let rec apply_wop db op =
+  let vi = Value.(fun i -> Int i) in
+  match op with
+  | W_insert (a, b, g, h) ->
+      ignore (Database.insert db "W" [| vi a; vi b; vi g; vi h; vi 0 |])
+  | W_upsert (a, b, g, h) ->
+      ignore (Database.upsert db "W" [| vi a; vi b; vi g; vi h; vi 1 |])
+  | W_update (a, b, c, v) ->
+      ignore
+        (Database.update db "W" [ vi a; vi b ] (fun r ->
+             r.(c) <- vi v;
+             r))
+  | W_delete (a, b) -> ignore (Database.delete db "W" [ vi a; vi b ])
+  | W_rollback ops ->
+      Database.begin_txn db;
+      List.iter (apply_wop db) ops;
+      Database.rollback db
+  | W_reload ->
+      let rows = Database.dump db in
+      Database.clear_data db;
+      ignore (Database.load_rows db rows)
+
+let walk_db kind ~indexed =
+  let db = Database.create kind in
+  ignore (Database.create_table db walk_schema);
+  if indexed then
+    List.iter (fun (c, _) -> ignore (Database.create_index db "W" c)) walk_indexes;
+  db
+
+let rec has_prefix p k =
+  match (p, k) with
+  | [], _ -> true
+  | x :: p, y :: k -> Value.compare x y = 0 && has_prefix p k
+  | _ :: _, [] -> false
+
+(* Rows of one walk, and what it cost. *)
+let walked db (column, _) ~prefix ?lo stop =
+  ignore (Database.take_cost db);
+  let out = ref [] in
+  match
+    Database.index_walk db "W" ~column ~prefix ?lo (fun row ->
+        out := row :: !out;
+        stop = 0 || List.length !out < stop)
+  with
+  | Ok () -> Some (List.rev !out, Database.take_cost db)
+  | Error _ -> None
+
+let prop_index_walk =
+  QCheck.Test.make ~name:"index walk ≡ filtered scan ≡ fresh index" ~count:200
+    arb_walk (fun (ops, queries) ->
+      List.for_all
+        (fun kind ->
+          let db = walk_db kind ~indexed:true in
+          List.iter (apply_wop db) ops;
+          let rows =
+            match Database.scan db "W" ~pred:(fun _ -> true) with
+            | Ok rows -> rows
+            | Error e -> QCheck.Test.fail_report e
+          in
+          let vals = List.map (fun i -> Value.Int i) in
+          let by_scan q =
+            let _, col = q.q_col in
+            let prefix = vals q.q_prefix and lo = vals q.q_lo in
+            let lo = if Store.key_compare lo prefix < 0 then prefix else lo in
+            let keyed =
+              List.filter_map
+                (fun r ->
+                  let k = [ r.(col); r.(0); r.(1) ] in
+                  if has_prefix prefix k && Store.key_compare k lo >= 0 then
+                    Some (k, r)
+                  else None)
+                rows
+              |> List.sort (fun (k1, _) (k2, _) -> Store.key_compare k1 k2)
+              |> List.map snd
+            in
+            if q.q_stop = 0 then keyed
+            else List.filteri (fun i _ -> i < q.q_stop) keyed
+          in
+          let matches_scan =
+            List.for_all
+              (fun q ->
+                match
+                  walked db q.q_col ~prefix:(vals q.q_prefix)
+                    ~lo:(vals q.q_lo) q.q_stop
+                with
+                | Some (got, _) -> got = by_scan q
+                | None -> false)
+              queries
+          in
+          let fresh = walk_db kind ~indexed:false in
+          ignore (Database.load_rows fresh (List.map (fun r -> ("W", r)) rows));
+          List.iter
+            (fun (c, _) -> ignore (Database.create_index fresh "W" c))
+            walk_indexes;
+          let matches_fresh =
+            List.for_all
+              (fun col ->
+                List.for_all
+                  (fun prefix ->
+                    walked db col ~prefix 0 = walked fresh col ~prefix 0)
+                  ([] :: List.init 5 (fun v -> [ Value.Int v ])))
+              walk_indexes
+          in
+          matches_scan && matches_fresh)
+        [ Store.Hazel; Store.Hickory; Store.Dogwood ])
+
 (* ---------- Lock manager ---------- *)
 
 let test_lock_table_level () =
@@ -635,6 +833,7 @@ let () =
           Alcotest.test_case "maintained by rollback" `Quick
             test_index_maintained_by_rollback;
           qt prop_index_agrees_with_scan;
+          qt prop_index_walk;
         ] );
       ( "locks",
         [

@@ -200,6 +200,106 @@ let prop_tpcc_mix_consistency =
         (fun check -> Result.is_ok (check db))
         [ Tpcc.consistency_1; Tpcc.consistency_2; Tpcc.consistency_3; Tpcc.consistency_4 ])
 
+(* The scan-bound procedures stay O(result) as the tables grow. A fresh
+   small-scale database and one grown by 3,000 New-Orders run the same
+   Delivery, Order-Status and Stock-Level; their virtual costs (a count
+   of charged reads and writes, so this cannot flake) must be within
+   1.2x. The New-Orders are pinned to the loader's shape (5 lines, the
+   loader's item formula) and skip customer 1, so both databases hand the
+   three procedures the same-sized result and only the access path can
+   make the grown one dearer. *)
+let test_tpcc_cost_flat_under_growth () =
+  let cost db reg ~seq txn =
+    ignore (Database.take_cost db);
+    let r = exec reg db ~seq txn in
+    (match r.Txn.outcome with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (fst txn ^ ": " ^ e));
+    Database.take_cost db
+  in
+  let costs db reg =
+    [
+      ("delivery", cost db reg ~seq:1_000_000 ("delivery", [ Value.Int 3 ]));
+      ( "order_status",
+        cost db reg ~seq:1_000_001 ("order_status", [ Value.Int 1; Value.Int 1 ]) );
+      ( "stock_level",
+        cost db reg ~seq:1_000_002 ("stock_level", [ Value.Int 1; Value.Int 15 ]) );
+    ]
+  in
+  let fresh_db, fresh_reg = mk_tpcc () in
+  let fresh = costs fresh_db fresh_reg in
+  let db, reg = mk_tpcc () in
+  let next_o = Array.make (scale.Tpcc.districts + 1) (scale.Tpcc.initial_orders_per_district + 1) in
+  for i = 0 to 2_999 do
+    let d = 1 + (i mod scale.Tpcc.districts) in
+    let c = 2 + (i mod (scale.Tpcc.customers_per_district - 1)) in
+    let o = next_o.(d) in
+    next_o.(d) <- o + 1;
+    let items =
+      List.concat_map
+        (fun n ->
+          [ Value.Int ((((o * 7) + (n * 13)) mod scale.Tpcc.items) + 1); Value.Int 1 ])
+        [ 1; 2; 3; 4; 5 ]
+    in
+    match (exec reg db ~seq:i ("new_order", Value.Int d :: Value.Int c :: items)).Txn.outcome with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail ("new_order: " ^ e)
+  done;
+  Alcotest.(check int) "order lines grew by 15,000"
+    ((scale.Tpcc.districts * scale.Tpcc.initial_orders_per_district * 5) + 15_000)
+    (Database.row_count db "ORDER_LINE");
+  List.iter2
+    (fun (name, before) (_, after) ->
+      if after > 1.2 *. before then
+        Alcotest.failf "%s: %.1f us on the grown database vs %.1f us fresh" name
+          (after *. 1e6) (before *. 1e6))
+    fresh (costs db reg)
+
+(* The same TPC-C stream on the three backends: every transaction's
+   result, and at the end every row of every table, must agree, and the
+   consistency conditions must hold. [dump] is compared rather than
+   [content_hash], which does not see late columns such as
+   C_DELIVERY_CNT. *)
+let test_tpcc_backends_agree () =
+  let run kind =
+    let db = Database.create kind in
+    Tpcc.setup db;
+    let reg = Tpcc.registry () in
+    let rng = Sim.Prng.create 11 in
+    let results =
+      List.init 2_000 (fun i ->
+          (exec reg db ~seq:i (Tpcc.make_txn rng ~h_id:i)).Txn.outcome)
+    in
+    List.iter
+      (fun (name, check) ->
+        match check db with
+        | Ok () -> ()
+        | Error e ->
+            Alcotest.failf "%s on %s: %s" name (Store.kind_name kind) e)
+      [
+        ("c1", Tpcc.consistency_1);
+        ("c2", Tpcc.consistency_2);
+        ("c3", Tpcc.consistency_3);
+        ("c4", Tpcc.consistency_4);
+      ];
+    (results, Database.dump db)
+  in
+  let h_results, h_dump = run Store.Hazel in
+  Alcotest.(check bool) "some transactions commit" true
+    (List.exists Result.is_ok h_results);
+  List.iter
+    (fun kind ->
+      let results, dump = run kind in
+      List.iteri
+        (fun i (a, b) ->
+          if a <> b then
+            Alcotest.failf "txn %d: %s differs from hazel" i (Store.kind_name kind))
+        (List.combine h_results results);
+      Alcotest.(check bool)
+        (Store.kind_name kind ^ " dump = hazel dump")
+        true (dump = h_dump))
+    [ Store.Hickory; Store.Dogwood ]
+
 let test_tpcc_mix_distribution () =
   let rng = Sim.Prng.create 99 in
   let counts = Hashtbl.create 8 in
@@ -255,6 +355,9 @@ let () =
           Alcotest.test_case "order_status/stock_level" `Quick
             test_tpcc_order_status_and_stock_level;
           qt prop_tpcc_mix_consistency;
+          Alcotest.test_case "cost flat under growth" `Quick
+            test_tpcc_cost_flat_under_growth;
+          Alcotest.test_case "backends agree" `Quick test_tpcc_backends_agree;
           Alcotest.test_case "mix distribution" `Quick test_tpcc_mix_distribution;
           Alcotest.test_case "determinism" `Quick test_tpcc_determinism;
         ] );
