@@ -101,8 +101,8 @@ let whole ?pos name read s =
     Ok v
   with Bad { pos; msg } -> Error (message pos msg)
 
-let streaming read s =
-  let c = cur s in
+let streaming ?pos read s =
+  let c = cur ?pos s in
   try
     let v = read c in
     Ok (v, String.sub c.s c.pos (remaining c))

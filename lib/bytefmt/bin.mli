@@ -32,6 +32,6 @@ val whole : ?pos:int -> string -> (cur -> 'a) -> string -> ('a, string) result
     every byte of [s] consumed; {!Bad} and trailing bytes become
     [Error]. *)
 
-val streaming : (cur -> 'a) -> string -> ('a * string, string) result
-(** Runs a reader from the start of the input and returns the unread
-    tail. *)
+val streaming :
+  ?pos:int -> (cur -> 'a) -> string -> ('a * string, string) result
+(** Runs a reader from [pos] (default 0) and returns the unread tail. *)

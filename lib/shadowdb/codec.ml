@@ -96,7 +96,7 @@ let encode_entry e =
   add_entry buf e;
   Buffer.contents buf
 
-let decode_entry s = streaming read_entry s
+let decode_entry ?pos s = streaming ?pos read_entry s
 
 let add_batch buf (b : Broadcast.Tob.batch) = add_list add_entry buf b
 let read_batch c = read_list read_entry c
@@ -115,8 +115,8 @@ let encode_deliver (d : Broadcast.Tob.deliver) =
   add_entry buf d.Broadcast.Tob.entry;
   Buffer.contents buf
 
-let decode_deliver s =
-  whole "deliver"
+let decode_deliver ?pos s =
+  whole ?pos "deliver"
     (fun c ->
       let seqno = read_varint c in
       let entry = read_entry c in
@@ -210,7 +210,7 @@ let encode_core_paxos m =
   add_paxos buf m;
   Buffer.contents buf
 
-let decode_core_paxos s = whole "paxos message" read_paxos s
+let decode_core_paxos ?pos s = whole ?pos "paxos message" read_paxos s
 
 (* Database replication messages. *)
 
@@ -370,7 +370,7 @@ let encode_db_msg m =
   add_db_msg buf m;
   Buffer.contents buf
 
-let decode_db_msg s = whole "db message" read_db_msg s
+let decode_db_msg ?pos s = whole ?pos "db message" read_db_msg s
 
 (* TOB entry payloads: the one place their tag bytes are known. A payload
    is written into the buffer behind its tag and decoded from the cursor

@@ -19,12 +19,14 @@ val decode_txn : string -> (Txn.t, string) result
     Full message codecs for running ShadowDB nodes over real sockets:
     broadcast entries and delivery notifications, Paxos protocol messages
     over TOB batches, and database replication messages. All decoders
-    reject truncated or trailing bytes. *)
+    reject truncated or trailing bytes, and read from byte [pos] (default
+    0), so a caller that has consumed a prefix of the message decodes the
+    rest without copying it. *)
 
 val encode_entry : Broadcast.Tob.entry -> string
 
 val decode_entry :
-  string -> (Broadcast.Tob.entry * string, string) result
+  ?pos:int -> string -> (Broadcast.Tob.entry * string, string) result
 (** Streaming: returns the entry and the remaining input. *)
 
 val encode_batch : Broadcast.Tob.batch -> string
@@ -37,17 +39,19 @@ val decode_batch_all : string -> (Broadcast.Tob.batch, string) result
 (** Whole-buffer variant: fails on trailing bytes. *)
 
 val encode_deliver : Broadcast.Tob.deliver -> string
-val decode_deliver : string -> (Broadcast.Tob.deliver, string) result
+val decode_deliver :
+  ?pos:int -> string -> (Broadcast.Tob.deliver, string) result
 
 val encode_core_paxos : Broadcast.Tob.batch Consensus.Paxos_msg.t -> string
 (** Paxos messages whose commands are TOB batches — the consensus core
     the paper's broadcast service actually runs. *)
 
 val decode_core_paxos :
-  string -> (Broadcast.Tob.batch Consensus.Paxos_msg.t, string) result
+  ?pos:int -> string ->
+  (Broadcast.Tob.batch Consensus.Paxos_msg.t, string) result
 
 val encode_db_msg : Db_msg.t -> string
-val decode_db_msg : string -> (Db_msg.t, string) result
+val decode_db_msg : ?pos:int -> string -> (Db_msg.t, string) result
 
 (** {1 TOB entry payloads}
 

@@ -209,8 +209,10 @@ module Make (C : Consensus.Consensus_intf.S) = struct
      notifications and database replication messages share one socket per
      link on the socket runtime. [enc_core]/[dec_core] serialize the
      consensus core's protocol messages — for Paxos over TOB batches use
-     {!Codec.encode_core_paxos} / {!Codec.decode_core_paxos}. *)
-  let wire_codec ~enc_core ~dec_core : wire R.codec =
+     {!Codec.encode_core_paxos} / {!Codec.decode_core_paxos}. Every body
+     is decoded in place from byte 1, behind the one-byte tag. *)
+  let wire_codec ~enc_core
+      ~(dec_core : ?pos:int -> string -> (_, string) result) : wire R.codec =
     let enc = function
       | Svc (TM.Broadcast e) -> "B" ^ Codec.encode_entry e
       | Svc (TM.Core m) -> "C" ^ enc_core m
@@ -220,16 +222,15 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     let dec s =
       if s = "" then Error "empty wire message"
       else
-        let body = String.sub s 1 (String.length s - 1) in
         match s.[0] with
         | 'B' -> (
-            match Codec.decode_entry body with
+            match Codec.decode_entry ~pos:1 s with
             | Ok (e, "") -> Ok (Svc (TM.Broadcast e))
             | Ok _ -> Error "trailing bytes after entry"
             | Error e -> Error e)
-        | 'C' -> Result.map (fun m -> Svc (TM.Core m)) (dec_core body)
-        | 'N' -> Result.map (fun d -> Note d) (Codec.decode_deliver body)
-        | 'D' -> Result.map (fun m -> Db m) (Codec.decode_db_msg body)
+        | 'C' -> Result.map (fun m -> Svc (TM.Core m)) (dec_core ~pos:1 s)
+        | 'N' -> Result.map (fun d -> Note d) (Codec.decode_deliver ~pos:1 s)
+        | 'D' -> Result.map (fun m -> Db m) (Codec.decode_db_msg ~pos:1 s)
         | c -> Error (Printf.sprintf "bad wire tag %C" c)
     in
     { R.enc; dec }

@@ -66,12 +66,14 @@ module Make (C : Consensus.Consensus_intf.S) : sig
 
   val wire_codec :
     enc_core:(Broadcast.Tob.batch C.msg -> string) ->
-    dec_core:(string -> (Broadcast.Tob.batch C.msg, string) result) ->
+    dec_core:
+      (?pos:int -> string -> (Broadcast.Tob.batch C.msg, string) result) ->
     wire Runtime.codec
   (** Byte codec for {!wire}, required by the socket runtime.
       [enc_core]/[dec_core] serialize the consensus core's protocol
-      messages; for [Consensus.Paxos] use {!Codec.encode_core_paxos} and
-      {!Codec.decode_core_paxos}. *)
+      messages; [dec_core ~pos s] decodes the message that starts at byte
+      [pos] of [s]. For [Consensus.Paxos] use {!Codec.encode_core_paxos}
+      and {!Codec.decode_core_paxos}. *)
 
   type replication_style = Primary_backup | Chain
 

@@ -121,12 +121,38 @@ let test_codec_overflowing_length () =
    (trace files, wire messages, TOB payloads, WAL images) is total — it
    returns an error or an opaque value and never raises. Inputs are
    arbitrary strings and valid encodings with a cut, a flipped byte, or a
-   maximal varint spliced in. *)
-let hostile_seeds =
-  let txn =
-    { Shadowdb.Txn.client = 3; seq = 9; kind = "deposit"; params = [] }
-  in
+   maximal varint spliced in. The socket codec decodes each body in place
+   behind its tag byte, so the decoders are also driven from byte 1. *)
+let hostile_txn =
+  { Shadowdb.Txn.client = 3; seq = 9; kind = "deposit"; params = [] }
+
+(* One socket message per wire tag: 'D', 'B', 'N' and 'C'. *)
+let wire_samples =
+  let module W = Conform.Sys_wire.S in
+  let entry = { Broadcast.Tob.origin = 1; id = 2; payload = "p" } in
   [
+    W.Db (Shadowdb.Db_msg.Client_txn hostile_txn);
+    W.Svc (W.TM.Broadcast entry);
+    W.Note { Broadcast.Tob.seqno = 5; entry };
+    W.Svc (W.TM.Core (Consensus.Paxos_msg.Decision { s = 4; c = [ entry ] }));
+  ]
+
+let test_wire_codec_in_place () =
+  let { Runtime.enc; dec } = Conform.Sys_wire.codec in
+  List.iter
+    (fun m ->
+      let s = enc m in
+      Alcotest.(check bool) "round-trips" true (dec s = Ok m);
+      Alcotest.(check bool) "trailing byte rejected" true
+        (Result.is_error (dec (s ^ "x")));
+      Alcotest.(check bool) "truncation rejected" true
+        (Result.is_error (dec (String.sub s 0 (String.length s - 1)))))
+    wire_samples
+
+let hostile_seeds =
+  let txn = hostile_txn in
+  List.map Conform.Sys_wire.codec.Runtime.enc wire_samples
+  @ [
     TF.encode ~meta:sample_meta sample_events;
     Shadowdb.Codec.encode_db_msg (Shadowdb.Db_msg.Client_txn txn);
     Shadowdb.Codec.encode_core_paxos
@@ -163,6 +189,13 @@ let prop_hostile_bytes =
       ignore (Shadowdb.Codec.decode_core_paxos s);
       ignore (Shadowdb.Codec.decode_payload s);
       ignore (Durable.Wal.scan s);
+      ignore (Conform.Sys_wire.codec.Runtime.dec s);
+      if s <> "" then begin
+        ignore (Shadowdb.Codec.decode_entry ~pos:1 s);
+        ignore (Shadowdb.Codec.decode_deliver ~pos:1 s);
+        ignore (Shadowdb.Codec.decode_db_msg ~pos:1 s);
+        ignore (Shadowdb.Codec.decode_core_paxos ~pos:1 s)
+      end;
       true)
 
 (* ------------------------------ replay ------------------------------- *)
@@ -365,6 +398,8 @@ let () =
             test_codec_corrupt_header;
           Alcotest.test_case "overflowing length rejected" `Quick
             test_codec_overflowing_length;
+          Alcotest.test_case "wire codec decodes in place" `Quick
+            test_wire_codec_in_place;
           QCheck_alcotest.to_alcotest prop_hostile_bytes;
         ] );
       ( "replay",
