@@ -85,9 +85,7 @@ let same_value a b =
   | _ -> a = b
 
 let raw_insert tb key row =
-  let old =
-    if Hashtbl.length tb.indexes = 0 then None else tb.store.Store.find key
-  in
+  let old = tb.store.Store.find key in
   tb.store.Store.insert key row;
   Hashtbl.iter
     (fun _ idx ->
