@@ -271,6 +271,58 @@ let test_loop_crash_restart ~direct () =
   Alcotest.(check (list string)) "per-link FIFO clean across crash" []
     (Conform.Online.messages online)
 
+(* Reactor timers: the earliest deadline fires first, equal delays fire
+   in arm order, a cancelled timer never fires, and the timers of a
+   crashed node are dropped. Every timer of [clock] is armed in one Init
+   dispatch, so the firing order is the heap order however late the
+   reactor runs. *)
+let test_loop_timers () =
+  let loop = R.Loop.create ~codec:int_codec () in
+  let world = R.Loop.runtime loop in
+  let fired = ref [] and victim_up = Atomic.make false in
+  let finished = Atomic.make false in
+  let _clock =
+    R.spawn world ~name:"clock" (fun () ->
+        R.Proc.stateful_handler
+          ~init:(fun ~self:_ ~now:_ -> ())
+          ~handle:(fun ctx () -> function
+            | R.Init ->
+                List.iter
+                  (fun (delay, tag) -> ignore (R.set_timer ctx delay tag))
+                  [ (0.9, "end"); (0.04, "b1"); (0.02, "a"); (0.04, "b2") ];
+                R.cancel_timer ctx (R.set_timer ctx 0.03 "cancelled");
+                ignore (R.set_timer ctx 0.04 "b3")
+            | R.Timer { tag; _ } ->
+                fired := tag :: !fired;
+                if tag = "end" then Atomic.set finished true
+            | R.Recv _ -> ())
+          ())
+  in
+  let victim =
+    R.spawn world ~name:"victim" (fun () ->
+        R.Proc.stateful_handler
+          ~init:(fun ~self:_ ~now:_ -> ())
+          ~handle:(fun ctx () -> function
+            | R.Init ->
+                ignore (R.set_timer ctx 0.5 "doomed");
+                Atomic.set victim_up true
+            | R.Timer { tag; _ } -> fired := tag :: !fired
+            | R.Recv _ -> ())
+          ())
+  in
+  R.Loop.start loop;
+  let up = R.Loop.await ~timeout:30.0 loop (fun () -> Atomic.get victim_up) in
+  R.Loop.crash loop victim;
+  let ok = R.Loop.await ~timeout:30.0 loop (fun () -> Atomic.get finished) in
+  R.Loop.stop loop;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
+  Alcotest.(check bool) "victim initialised before the crash" true up;
+  Alcotest.(check bool) "last timer fired" true ok;
+  Alcotest.(check (list string))
+    "deadline order, ties in arm order, cancelled and crashed dropped"
+    [ "a"; "b1"; "b2"; "b3"; "end" ]
+    (List.rev !fired)
+
 (* Saturate one outbox with tiny watermarks: a producer bursts far more
    bytes per dispatch than the high watermark, so backpressure must
    engage (parking the producer's next burst timer), memory must stay
@@ -449,6 +501,8 @@ let () =
             (test_loop_crash_restart ~direct:true);
           Alcotest.test_case "crash/restart over loopback sockets" `Quick
             (test_loop_crash_restart ~direct:false);
+          Alcotest.test_case "timers: deadline order, cancel, crash" `Quick
+            test_loop_timers;
           Alcotest.test_case "outbox saturation: backpressure, no loss"
             `Quick test_loop_outbox_saturation;
         ] );
