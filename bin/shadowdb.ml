@@ -187,10 +187,6 @@ let make_sharded_txn ~client ~seq =
 
 (* --------------------- conformance instrumentation -------------------- *)
 
-let wire_codec =
-  S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
-    ~dec_core:Shadowdb.Codec.decode_core_paxos
-
 (* Trace meta lets the offline checker rebuild the shadow execution
    environment (workload + seeding) and pick the right monitor set. *)
 let conform_meta ~rt ~wl ~shards ~seed ~clients ~count =
@@ -221,7 +217,8 @@ let conform_taps ~meta ~trace ~monitor =
   let online = if monitor then Some (Conform.Online.create ()) else None in
   let taps =
     (match recorder with
-    | Some r -> [ Conform.Recorder.tap r ~enc:wire_codec.Runtime.enc ]
+    | Some r ->
+        [ Conform.Recorder.tap r ~enc:Conform.Sys_wire.codec.Runtime.enc ]
     | None -> [])
     @ match online with Some o -> [ Conform.Online.tap o ] | None -> []
   in
@@ -304,12 +301,12 @@ let run_sim mode wl shards clients count crash_at seed diverse window trace
         Stats.Sample.add latencies l)
       ()
   in
-  (match crash_at with
-  | Some t ->
+  (match (crash_at, d.replicas) with
+  | Some t, victim :: _ ->
       Engine.at world t (fun () ->
-          Printf.printf "t=%-8.2f crashing node %d\n" t (List.hd d.replicas);
-          Engine.crash world (List.hd d.replicas))
-  | None -> ());
+          Printf.printf "t=%-8.2f crashing node %d\n" t victim;
+          Engine.crash world victim)
+  | Some _, [] | None, _ -> ());
   Printf.printf "deployment : %s%s\n" d.describe
     (if diverse then ", diverse backends (hazel/hickory/dogwood)" else "");
   Printf.printf "workload   : %d clients x %d txns\n%!" clients count;
@@ -330,7 +327,7 @@ let run_socket mode wl shards clients count crash_at diverse window trace
   | Some _ ->
       Printf.eprintf "shadowdb: --crash-at is simulator-only; ignoring\n%!"
   | None -> ());
-  let codec = wire_codec in
+  let codec = Conform.Sys_wire.codec in
   let meta = conform_meta ~rt:Rt_loop ~wl ~shards ~seed:0 ~clients ~count in
   let recorder, online, tap = conform_taps ~meta ~trace ~monitor in
   let loop =
@@ -349,10 +346,9 @@ let run_socket mode wl shards clients count crash_at diverse window trace
     S.spawn_clients ~world ~target:d.target ~n:clients ~count ~make_txn
       ~retry_timeout:2.0
       ~on_commit:(fun _now l ->
-        Mutex.lock mu;
-        incr commits;
-        Stats.Sample.add latencies l;
-        Mutex.unlock mu)
+        Mutex.protect mu (fun () ->
+            incr commits;
+            Stats.Sample.add latencies l))
       ()
   in
   Printf.printf "deployment : %s%s, live over loopback TCP (event-loop reactor)\n"
@@ -377,7 +373,7 @@ let run_socket mode wl shards clients count crash_at diverse window trace
   report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed
     ~latencies ~alive:d.replicas ~d ~unit_label:"wall-clock";
   Printf.printf "backpressure: %d outbox engagements\n"
-    (Runtime.Loop.backpressure_events loop);
+    (Runtime.Loop.stats loop).Runtime.Loop.s_backpressure;
   let violated = conform_finish ~trace recorder online in
   if not finished || violated then exit 1
 

@@ -77,10 +77,7 @@ let run clients count group_commit snapshot_every torn data_dir json_path
   let elapsed () = Unix.gettimeofday () -. t0 in
   let victim = 0 and survivor = 1 in
   List.iter (fun i -> wipe_node_dir (node_dir data_dir i)) [ 0; 1; 2 ];
-  let codec =
-    S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
-      ~dec_core:Shadowdb.Codec.decode_core_paxos
-  in
+  let codec = Conform.Sys_wire.codec in
   (* Always-on conformance recording: the drill's whole trace — including
      the crash/restart window — is saved next to the durable state and
      replayed through the LoE spec as one of the verdict's checks, while
@@ -123,16 +120,15 @@ let run clients count group_commit snapshot_every torn data_dir json_path
           });
       dur_on_recover =
         (fun i report ~state_hash ->
-          Mutex.lock mu;
-          observations :=
-            {
-              obs_node = i;
-              obs_report = report;
-              obs_state_hash = state_hash;
-              obs_at = elapsed ();
-            }
-            :: !observations;
-          Mutex.unlock mu);
+          Mutex.protect mu (fun () ->
+              observations :=
+                {
+                  obs_node = i;
+                  obs_report = report;
+                  obs_state_hash = state_hash;
+                  obs_at = elapsed ();
+                }
+                :: !observations));
     }
   in
   (* Long failure-detection timeout: the drill exercises durability, not
@@ -151,13 +147,12 @@ let run clients count group_commit snapshot_every torn data_dir json_path
     S.spawn_clients ~world ~target:(S.To_smr cluster) ~n:clients ~count
       ~make_txn:make_deposit ~retry_timeout:1.0
       ~on_commit:(fun _ _ ->
-        Mutex.lock mu;
-        incr commits;
-        Stats.Series.record commit_series (elapsed ());
-        Mutex.unlock mu)
+        Mutex.protect mu (fun () ->
+            incr commits;
+            Stats.Series.record commit_series (elapsed ())))
       ()
   in
-  let commits_now () = Mutex.lock mu; let c = !commits in Mutex.unlock mu; c in
+  let commits_now () = Mutex.protect mu (fun () -> !commits) in
   Printf.printf
     "drill      : 3-node SMR over loopback TCP (loop runtime), file-backed WAL\n";
   Printf.printf "durability : group-commit %d, snapshot every %d (victim)\n"
@@ -204,14 +199,10 @@ let run clients count group_commit snapshot_every torn data_dir json_path
   let restart_at = elapsed () in
   Runtime.Loop.restart loop nodes.(victim);
   let recovery_of_restart () =
-    Mutex.lock mu;
-    let o =
-      List.find_opt
-        (fun o -> o.obs_node = victim && o.obs_at >= restart_at)
-        !observations
-    in
-    Mutex.unlock mu;
-    o
+    Mutex.protect mu (fun () ->
+        List.find_opt
+          (fun o -> o.obs_node = victim && o.obs_at >= restart_at)
+          !observations)
   in
   let _ =
     Runtime.Loop.await ~timeout:30.0 loop (fun () ->

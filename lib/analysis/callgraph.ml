@@ -28,9 +28,9 @@
 
    Edges are kept in source order; the durability pass depends on that
    to check fsync-dominates-rename within a definition. Edges that occur
-   inside a function literal passed to a configured with-lock helper are
-   tagged with that helper's name ([e_lock]) — the lock-discipline pass
-   seeds its under-lock reachability from those. *)
+   inside the critical section passed to [Mutex.protect] are tagged
+   ([e_locked]) — the lock-discipline pass seeds its under-lock
+   reachability from those. *)
 
 [@@@ocaml.warning "-4"]
 
@@ -39,7 +39,7 @@ open Parsetree
 type edge = {
   e_callee : string;
   e_site : string;
-  e_lock : string option; (* with-lock helper whose critical section holds this reference *)
+  e_locked : bool; (* inside a Mutex.protect critical section *)
 }
 
 type def = {
@@ -79,9 +79,8 @@ type env = {
   mutable mods : string list; (* module path inside the file, outermost first *)
   mutable aliases : (string * string list) list; (* module X = Y.Z *)
   mutable opens : string list list;
-  lock_helpers : string list;
   mutable cur : def option;
-  mutable lock : string option;
+  mutable locked : bool;
 }
 
 let rec flatten = function
@@ -234,7 +233,7 @@ let add_edge env callee loc =
         {
           e_callee = callee;
           e_site = Ast_load.site ~path:env.path loc;
-          e_lock = env.lock;
+          e_locked = env.locked;
         }
         :: d.d_edges
 
@@ -323,17 +322,13 @@ let iter_of env =
               (({ pexp_desc = Pexp_ident { txt; _ }; _ } as f), args) -> (
               let callee = resolve env txt in
               self.expr self f;
-              match callee with
-              | Some k when List.mem k env.lock_helpers ->
-                  List.iter
-                    (fun (_, (arg : expression)) ->
-                      if is_fun_literal arg then (
-                        let saved = env.lock in
-                        env.lock <- Some k;
-                        self.expr self arg;
-                        env.lock <- saved)
-                      else self.expr self arg)
-                    args
+              match (callee, args) with
+              | Some "Mutex.protect", [ (_, m); (_, body) ] ->
+                  self.expr self m;
+                  let saved = env.locked in
+                  env.locked <- true;
+                  self.expr self body;
+                  env.locked <- saved
               | _ -> List.iter (fun (_, arg) -> self.expr self arg) args)
           | _ -> default_iterator.expr self e)
       ;
@@ -389,7 +384,7 @@ let iter_of env =
   in
   it
 
-let build ~lock_helpers (sources : Ast_load.source list) =
+let build (sources : Ast_load.source list) =
   let g =
     {
       defs = Hashtbl.create 256;
@@ -414,9 +409,8 @@ let build ~lock_helpers (sources : Ast_load.source list) =
       mods = [ m ];
       aliases = [];
       opens = [];
-      lock_helpers;
       cur = None;
-      lock = None;
+      locked = false;
     }
   in
   (* Pass A: names. *)

@@ -7,15 +7,6 @@
    out of scope). Within a present module, a renamed entry point is a
    [missing-entry] finding, not a silent skip. *)
 
-(* The with-lock helpers the call graph tags critical sections for. *)
-let lock_helpers =
-  [
-    "Runtime.Loop.locked";
-    "Conform.Online.locked";
-    "Conform.Recorder.locked";
-    "Shadowdb.Replica.Registry.locked";
-  ]
-
 (* Reactor-blocking config for the Loop runtime. Each blessing names the
    one reason the call cannot stall the reactor (see DESIGN.md). *)
 let loop_blocking : Impl_blocking.config =
@@ -26,7 +17,7 @@ let loop_blocking : Impl_blocking.config =
         ( "Runtime.Loop.reactor",
           "Unix.select",
           "the reactor's single multiplexing wait; timeout comes from \
-           the timer wheel" );
+           the timer heap" );
         ( "Runtime.Loop.reactor_entry",
           "Condition.wait",
           "pre-start parking; the lock is released while waiting" );
@@ -50,10 +41,7 @@ let loop_blocking : Impl_blocking.config =
   }
 
 let runtime_locks : Impl_locks.config =
-  {
-    helpers = lock_helpers;
-    dispatchers = [ "Runtime.Loop.dispatch"; "Runtime.Loop.deliver" ];
-  }
+  { dispatchers = [ "Runtime.Loop.dispatch"; "Runtime.Loop.deliver" ] }
 
 let durable_ordering : Impl_durable.config =
   {
@@ -68,7 +56,7 @@ let durable_ordering : Impl_durable.config =
    source-analysis gate. *)
 let run ~src_dirs () =
   let sources, load_diags = Ast_load.load src_dirs in
-  let g = Callgraph.build ~lock_helpers sources in
+  let g = Callgraph.build sources in
   let sweep =
     {
       Lint.target = "sources";

@@ -12,14 +12,9 @@ let parse name src =
   | Ok s -> Ok s
   | Error d -> Error [ d ]
 
-let graph ?(lock_helpers = []) name src =
-  Result.map
-    (fun s -> (Callgraph.build ~lock_helpers [ s ], s))
-    (parse name src)
-
-let with_graph ?lock_helpers name src f =
-  match graph ?lock_helpers name src with
-  | Ok (g, s) -> f g s
+let with_graph name src f =
+  match parse name src with
+  | Ok s -> f (Callgraph.build [ s ]) s
   | Error ds -> ds
 
 (* --- reactor-blocking ------------------------------------------------ *)
@@ -62,74 +57,42 @@ let stats t =
   s
 |}
 
-let raw_lock () =
-  with_graph "raw_lock" raw_lock_src (fun g _ ->
-      Impl_locks.pass ~target:"fixture" g
-        { Impl_locks.helpers = []; dispatchers = [] })
+let locks ?(dispatchers = []) name src () =
+  with_graph name src (fun g _ ->
+      Impl_locks.pass ~target:"fixture" g { Impl_locks.dispatchers })
 
-let helper_prelude =
+(* A hand-rolled copy of [Mutex.protect]: exception-safe, but a second
+   lock primitive the pass would have to be told about. *)
+let hand_rolled_src =
   {|
 let with_lock t f =
   Mutex.lock t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t) f
+
+let bump t r = with_lock t (fun () -> incr r)
 |}
 
 let lock_blocking_src =
-  helper_prelude
-  ^ {|
+  {|
 let read_all fd buf = Unix.read fd buf 0 4096
 
-let poll t fd buf = with_lock t (fun () -> read_all fd buf)
+let poll t fd buf = Mutex.protect t (fun () -> read_all fd buf)
 |}
-
-let lock_blocking () =
-  with_graph
-    ~lock_helpers:[ "Fixture.Lock_blocking.with_lock" ]
-    "lock_blocking" lock_blocking_src
-    (fun g _ ->
-      Impl_locks.pass ~target:"fixture" g
-        {
-          Impl_locks.helpers = [ "Fixture.Lock_blocking.with_lock" ];
-          dispatchers = [];
-        })
 
 let lock_order_src =
-  helper_prelude
-  ^ {|
-let push q v = with_lock q (fun () -> ignore v)
+  {|
+let push q v = Mutex.protect q (fun () -> ignore v)
 
-let transfer a b v = with_lock a (fun () -> push b v)
+let transfer a b v = Mutex.protect a (fun () -> push b v)
 |}
-
-let lock_order () =
-  with_graph
-    ~lock_helpers:[ "Fixture.Lock_order.with_lock" ]
-    "lock_order" lock_order_src
-    (fun g _ ->
-      Impl_locks.pass ~target:"fixture" g
-        {
-          Impl_locks.helpers = [ "Fixture.Lock_order.with_lock" ];
-          dispatchers = [];
-        })
 
 let lock_dispatch_src =
-  helper_prelude
-  ^ {|
+  {|
 let dispatch handler input = handler input
 
-let deliver t handler payload = with_lock t (fun () -> dispatch handler payload)
+let deliver t handler payload =
+  Mutex.protect t (fun () -> dispatch handler payload)
 |}
-
-let lock_dispatch () =
-  with_graph
-    ~lock_helpers:[ "Fixture.Lock_dispatch.with_lock" ]
-    "lock_dispatch" lock_dispatch_src
-    (fun g _ ->
-      Impl_locks.pass ~target:"fixture" g
-        {
-          Impl_locks.helpers = [ "Fixture.Lock_dispatch.with_lock" ];
-          dispatchers = [ "Fixture.Lock_dispatch.dispatch" ];
-        })
 
 (* --- durability ordering --------------------------------------------- *)
 
@@ -213,10 +176,17 @@ let sweep_precision () =
 let all : Fixtures.t list =
   [
     { Fixtures.name = "impl-bad-reactor"; expect = [ "reactor-blocking" ]; run = bad_reactor };
-    { Fixtures.name = "impl-raw-lock"; expect = [ "raw-mutex" ]; run = raw_lock };
-    { Fixtures.name = "impl-lock-blocking"; expect = [ "blocking-under-lock" ]; run = lock_blocking };
-    { Fixtures.name = "impl-lock-order"; expect = [ "lock-order" ]; run = lock_order };
-    { Fixtures.name = "impl-dispatch-under-lock"; expect = [ "dispatch-under-lock" ]; run = lock_dispatch };
+    { Fixtures.name = "impl-raw-lock"; expect = [ "raw-mutex" ]; run = locks "raw_lock" raw_lock_src };
+    { Fixtures.name = "impl-hand-rolled-lock"; expect = [ "raw-mutex" ]; run = locks "hand_rolled" hand_rolled_src };
+    { Fixtures.name = "impl-lock-blocking"; expect = [ "blocking-under-lock" ]; run = locks "lock_blocking" lock_blocking_src };
+    { Fixtures.name = "impl-lock-order"; expect = [ "lock-order" ]; run = locks "lock_order" lock_order_src };
+    {
+      Fixtures.name = "impl-dispatch-under-lock";
+      expect = [ "dispatch-under-lock" ];
+      run =
+        locks ~dispatchers:[ "Fixture.Lock_dispatch.dispatch" ] "lock_dispatch"
+          lock_dispatch_src;
+    };
     { Fixtures.name = "impl-torn-snapshot"; expect = [ "rename-before-fsync" ]; run = torn_snapshot };
     { Fixtures.name = "impl-noack-wal"; expect = [ "append-no-sync" ]; run = noack_wal };
     { Fixtures.name = "impl-swallowed-sync"; expect = [ "sync-swallowed" ]; run = swallowed_sync };

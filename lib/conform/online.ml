@@ -41,10 +41,6 @@ let create () =
     messages = [];
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 let note t msg =
   if List.length t.messages < max_messages then t.messages <- msg :: t.messages
 
@@ -61,10 +57,10 @@ let tap (t : t) : 'm Runtime.tap =
   match ob with
   | Runtime.Ob_send { dst; msg } ->
       let h = Hashtbl.hash msg in
-      locked t (fun () -> Queue.push h (link_q t (self, dst)))
+      Mutex.protect t.mu (fun () -> Queue.push h (link_q t (self, dst)))
   | Runtime.Ob_input (Runtime.Recv { src; msg }) ->
       let h = Hashtbl.hash msg in
-      locked t (fun () ->
+      Mutex.protect t.mu (fun () ->
           t.checked <- t.checked + 1;
           let ok =
             match Queue.take_opt (link_q t (src, self)) with
@@ -77,7 +73,7 @@ let tap (t : t) : 'm Runtime.tap =
               (Printf.sprintf "per-link FIFO violation on %d->%d" src self)
           end)
   | Runtime.Ob_checkpoint { seqno; hash; _ } ->
-      locked t (fun () ->
+      Mutex.protect t.mu (fun () ->
           t.checked <- t.checked + 1;
           match Hashtbl.find_opt t.hashes seqno with
           | None -> Hashtbl.replace t.hashes seqno (self, hash)
@@ -91,20 +87,20 @@ let tap (t : t) : 'm Runtime.tap =
                      seqno self hash n0 h0)
               end)
   | Runtime.Ob_crash | Runtime.Ob_restart ->
-      locked t (fun () ->
+      Mutex.protect t.mu (fun () ->
           Hashtbl.iter (fun (_, d) q -> if d = self then Queue.clear q) t.links)
   | Runtime.Ob_input (Runtime.Init | Runtime.Timer _) | Runtime.Ob_deliver _ ->
       ()
 
-let checked t = locked t (fun () -> t.checked)
+let checked t = Mutex.protect t.mu (fun () -> t.checked)
 
 let violations t =
-  locked t (fun () -> t.fifo_violations + t.agreement_violations)
+  Mutex.protect t.mu (fun () -> t.fifo_violations + t.agreement_violations)
 
-let messages t = locked t (fun () -> List.rev t.messages)
+let messages t = Mutex.protect t.mu (fun () -> List.rev t.messages)
 
 let summary t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       Printf.sprintf
         "online monitor: %d checks, %d FIFO violations, %d agreement \
          violations"

@@ -36,10 +36,6 @@ let create ?(cap = default_cap) ?(meta = []) () =
     meta;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 let push t ev =
   if t.len = t.cap then begin
     (* Full: overwrite the oldest slot. *)
@@ -70,7 +66,7 @@ let tap (t : t) ~(enc : 'm -> string) : 'm Runtime.tap =
     | Runtime.Ob_restart -> Event.Restart
   in
   let is_input = match ob with Runtime.Ob_input _ -> true | _ -> false in
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       let step =
         let prev = Option.value ~default:0 (Hashtbl.find_opt t.steps self) in
         if is_input then begin
@@ -82,11 +78,11 @@ let tap (t : t) ~(enc : 'm -> string) : 'm Runtime.tap =
       push t { Event.node = self; step; at = now; kind })
 
 let events t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap)))
 
-let dropped t = locked t (fun () -> t.dropped)
-let recorded t = locked t (fun () -> t.len + t.dropped)
-let meta t = locked t (fun () -> t.meta)
-let add_meta t kvs = locked t (fun () -> t.meta <- t.meta @ kvs)
+let dropped t = Mutex.protect t.mu (fun () -> t.dropped)
+let recorded t = Mutex.protect t.mu (fun () -> t.len + t.dropped)
+let meta t = Mutex.protect t.mu (fun () -> t.meta)
+let add_meta t kvs = Mutex.protect t.mu (fun () -> t.meta <- t.meta @ kvs)
 let save t path = Trace_file.save ~path ~meta:(meta t) (events t)

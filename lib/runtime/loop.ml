@@ -3,8 +3,8 @@
 
    This runtime runs the whole deployment single-process on one reactor
    thread: all listeners, inbound connections and outbound sockets sit in
-   a single [Unix.select], the timeout computed from the root of a timer
-   wheel of pending node timers (no fixed tick), and sends go through
+   a single [Unix.select], the timeout computed from the root of the
+   {!Sim.Heap} of pending node timers (no fixed tick), and sends go through
    bounded per-destination {!Outbox}es of already-encoded {!Frame}s that
    are flushed as one coalesced batch per readiness event. Protocol code
    is unchanged: messages take a real wire path (codec encode → framed
@@ -42,65 +42,6 @@
 module F = Frame
 
 (* ---------------------------------------------------------------- *)
-(* Timer wheel                                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Binary min-heap of pending timers keyed (deadline, id) — the reactor's
-   timer wheel. The select timeout is the distance to the root, so idle
-   deployments sleep instead of burning a fixed tick. *)
-module Wheel = struct
-  type entry = { w_deadline : float; w_id : int; w_node : int; w_tag : string }
-  type t = { mutable a : entry array; mutable size : int }
-
-  let dummy = { w_deadline = 0.0; w_id = 0; w_node = 0; w_tag = "" }
-  let create () = { a = Array.make 64 dummy; size = 0 }
-
-  let before x y =
-    x.w_deadline < y.w_deadline
-    || (x.w_deadline = y.w_deadline && x.w_id < y.w_id)
-
-  let swap t i j =
-    let tmp = t.a.(i) in
-    t.a.(i) <- t.a.(j);
-    t.a.(j) <- tmp
-
-  let push t e =
-    if t.size = Array.length t.a then begin
-      let na = Array.make (2 * t.size) dummy in
-      Array.blit t.a 0 na 0 t.size;
-      t.a <- na
-    end;
-    t.a.(t.size) <- e;
-    t.size <- t.size + 1;
-    let i = ref (t.size - 1) in
-    while !i > 0 && before t.a.(!i) t.a.((!i - 1) / 2) do
-      swap t !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let peek t = if t.size = 0 then None else Some t.a.(0)
-
-  let pop t =
-    let root = t.a.(0) in
-    t.size <- t.size - 1;
-    t.a.(0) <- t.a.(t.size);
-    t.a.(t.size) <- dummy;
-    let i = ref 0 and continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < t.size && before t.a.(l) t.a.(!s) then s := l;
-      if r < t.size && before t.a.(r) t.a.(!s) then s := r;
-      if !s = !i then continue := false
-      else begin
-        swap t !s !i;
-        i := !s
-      end
-    done;
-    root
-end
-
-(* ---------------------------------------------------------------- *)
 (* State                                                             *)
 (* ---------------------------------------------------------------- *)
 
@@ -116,6 +57,7 @@ type 'm node = {
   mutable n_inited : bool;
   mutable n_parked : int;  (* congested outboxes currently parking us *)
   n_deferred : (int * string) Queue.t;  (* timers due while parked *)
+  mutable n_epoch : int;  (* crash count: older timers are stale *)
   mutable n_last_now : float;
   mutable n_charged : float;
 }
@@ -138,6 +80,9 @@ type 'm mux = {
   mutable m_waiters : 'm node list;  (* producers parked on this outbox *)
 }
 
+(* A pending timer, keyed in the heap by (deadline, id). *)
+type 'm timer = { tm_node : 'm node; tm_epoch : int; tm_tag : string }
+
 type cmd = Crash of Sim.Node_id.t | Restart of Sim.Node_id.t
 
 type 'm t = {
@@ -155,7 +100,7 @@ type 'm t = {
   mutable init_dirty : bool;  (* some node awaits its Init dispatch *)
   muxes : (Sim.Node_id.t, 'm mux) Hashtbl.t;
   mutable conns : 'm conn list;
-  wheel : Wheel.t;
+  timers : 'm timer Sim.Heap.t;
   cancelled : (int, unit) Hashtbl.t;
   mutable timer_seq : int;
   wake_r : Unix.file_descr;
@@ -173,28 +118,20 @@ type 'm t = {
      tolerate a stale read of a plain int). *)
   mutable sent_msgs : int;
   mutable sent_bytes : int;
-  mutable delivered_msgs : int;
   mutable park_events : int;
   mutable engage_events : int;
   mutable peak_outbox : int;
   mutable retired_writes : int;
-  mutable retired_bytes : int;
 }
 
 type stats = {
   s_sent_msgs : int;
   s_sent_bytes : int;
-  s_delivered_msgs : int;
   s_flush_writes : int;  (* frames out / writes = coalescing batch size *)
-  s_flushed_bytes : int;
   s_backpressure : int;  (* high-watermark engagements *)
   s_parked : int;  (* producer park events *)
   s_peak_outbox_bytes : int;
 }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Wall clock relative to creation. [mono_last] smooths over clock
    steps; the unsynchronized update is a benign race — per-node
@@ -205,8 +142,10 @@ let now t =
   if raw > t.mono_last then t.mono_last <- raw;
   t.mono_last
 
-let record_error t msg = locked t (fun () -> t.errors <- msg :: t.errors)
-let errors t = locked t (fun () -> List.rev t.errors)
+let record_error t msg =
+  Mutex.protect t.lock (fun () -> t.errors <- msg :: t.errors)
+
+let errors t = Mutex.protect t.lock (fun () -> List.rev t.errors)
 
 let create ?(high = Outbox.default_high) ?(low = Outbox.default_low)
     ?(direct = true) ?on_backpressure ?tap ~codec () =
@@ -230,7 +169,7 @@ let create ?(high = Outbox.default_high) ?(low = Outbox.default_low)
     init_dirty = false;
     muxes = Hashtbl.create 16;
     conns = [];
-    wheel = Wheel.create ();
+    timers = Sim.Heap.create ();
     cancelled = Hashtbl.create 16;
     timer_seq = 0;
     wake_r;
@@ -246,33 +185,23 @@ let create ?(high = Outbox.default_high) ?(low = Outbox.default_low)
     on_backpressure;
     sent_msgs = 0;
     sent_bytes = 0;
-    delivered_msgs = 0;
     park_events = 0;
     engage_events = 0;
     peak_outbox = 0;
     retired_writes = 0;
-    retired_bytes = 0;
   }
 
 let stats t =
-  let w = ref t.retired_writes and b = ref t.retired_bytes in
-  Hashtbl.iter
-    (fun _ m ->
-      w := !w + m.m_out.Outbox.writes;
-      b := !b + m.m_out.Outbox.flushed_bytes)
-    t.muxes;
   {
     s_sent_msgs = t.sent_msgs;
     s_sent_bytes = t.sent_bytes;
-    s_delivered_msgs = t.delivered_msgs;
-    s_flush_writes = !w;
-    s_flushed_bytes = !b;
+    s_flush_writes =
+      Hashtbl.fold (fun _ m w -> w + m.m_out.Outbox.writes) t.muxes
+        t.retired_writes;
     s_backpressure = t.engage_events;
     s_parked = t.park_events;
     s_peak_outbox_bytes = t.peak_outbox;
   }
-
-let backpressure_events t = t.engage_events
 
 let wake t =
   try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
@@ -310,7 +239,8 @@ let park t mux node =
     t.park_events <- t.park_events + 1
   end
 
-let find_node t id = locked t (fun () -> Hashtbl.find_opt t.by_id id)
+let find_node t id =
+  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.by_id id)
 
 (* Dispatch an input to a node's handler, trapping handler exceptions
    into the runtime's error list. Mutually recursive with the send path
@@ -345,14 +275,10 @@ and ctx_for t node =
             (fun delay tag ->
               t.timer_seq <- t.timer_seq + 1;
               let id = t.timer_seq in
-              let deadline = node_now t node +. Float.max 0.0 delay in
-              Wheel.push t.wheel
-                {
-                  Wheel.w_deadline = deadline;
-                  w_id = id;
-                  w_node = node.n_id;
-                  w_tag = tag;
-                };
+              Sim.Heap.push t.timers
+                ~time:(node_now t node +. Float.max 0.0 delay)
+                ~seq:id
+                { tm_node = node; tm_epoch = node.n_epoch; tm_tag = tag };
               id);
           ctx_cancel_timer = (fun id -> Hashtbl.replace t.cancelled id ());
           ctx_charge = (fun s -> node.n_charged <- node.n_charged +. s);
@@ -407,7 +333,9 @@ and mux_for t dst =
       | Some n when n.n_alive -> register (S_node n)
       | Some _ -> None  (* crashed: lost, like a refused connect *)
       | None -> (
-          match locked t (fun () -> Hashtbl.find_opt t.ports dst) with
+          match
+            Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.ports dst)
+          with
           | None -> None
           | Some port -> (
               let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -425,7 +353,6 @@ and mux_for t dst =
    waiting on its (now discarded) outbox. *)
 and retire_mux t mux =
   t.retired_writes <- t.retired_writes + mux.m_out.Outbox.writes;
-  t.retired_bytes <- t.retired_bytes + mux.m_out.Outbox.flushed_bytes;
   (match mux.m_sink with S_sock fd -> close_quiet fd | S_node _ -> ());
   Hashtbl.remove t.muxes mux.m_dst;
   let waiters = mux.m_waiters in
@@ -453,7 +380,6 @@ and unpark t node =
 (* Decode and dispatch one delivered frame — the endpoint both local
    and socket sinks funnel into. *)
 and deliver t node ~src payload =
-  t.delivered_msgs <- t.delivered_msgs + 1;
   match t.codec.Core.dec payload with
   | Ok msg -> dispatch t node (Core.Recv { src; msg })
   | Error e ->
@@ -533,51 +459,42 @@ let init_pending t nodes =
       nodes
   end
 
-let fire_due t =
-  let rec go () =
-    match Wheel.peek t.wheel with
-    | Some e when e.Wheel.w_deadline <= now t ->
-        let e = Wheel.pop t.wheel in
-        if Hashtbl.mem t.cancelled e.Wheel.w_id then
-          Hashtbl.remove t.cancelled e.Wheel.w_id
-        else
-          (match find_node t e.Wheel.w_node with
-          | Some node when node.n_alive ->
-              if node.n_parked > 0 then
-                Queue.push (e.Wheel.w_id, e.Wheel.w_tag) node.n_deferred
-              else
-                dispatch t node
-                  (Core.Timer { id = e.Wheel.w_id; tag = e.Wheel.w_tag })
-          | _ -> ());
-        go ()
-    | _ -> ()
-  in
-  go ()
+(* A popped timer is dropped if it was cancelled (consuming the mark)
+   or armed by an incarnation of its node that has since crashed. *)
+let stale t id tm =
+  if Hashtbl.mem t.cancelled id then begin
+    Hashtbl.remove t.cancelled id;
+    true
+  end
+  else (not tm.tm_node.n_alive) || tm.tm_node.n_epoch <> tm.tm_epoch
 
-(* Distance to the earliest pending live timer — the timer wheel replaces
-   a fixed tick — capped at 1s for shutdown responsiveness. Cancelled or
-   orphaned roots are discarded on the way. *)
-let next_timeout t =
-  let rec skim () =
-    match Wheel.peek t.wheel with
-    | Some e
-      when Hashtbl.mem t.cancelled e.Wheel.w_id
-           || (match find_node t e.Wheel.w_node with
-              | Some n -> not n.n_alive
-              | None -> true) ->
-        let e = Wheel.pop t.wheel in
-        Hashtbl.remove t.cancelled e.Wheel.w_id;
-        skim ()
-    | other -> other
-  in
-  match skim () with
+let rec fire_due t =
+  match Sim.Heap.peek t.timers with
+  | Some (deadline, id, tm) when deadline <= now t ->
+      ignore (Sim.Heap.pop t.timers);
+      (if not (stale t id tm) then
+         let node = tm.tm_node in
+         if node.n_parked > 0 then Queue.push (id, tm.tm_tag) node.n_deferred
+         else dispatch t node (Core.Timer { id; tag = tm.tm_tag }));
+      fire_due t
+  | _ -> ()
+
+(* Distance to the earliest pending live timer — there is no fixed tick
+   — capped at 1s for shutdown responsiveness. Stale roots are discarded
+   on the way. *)
+let rec next_timeout t =
+  match Sim.Heap.peek t.timers with
   | None -> 1.0
-  | Some e -> Float.min 1.0 (Float.max 0.0 (e.Wheel.w_deadline -. now t))
+  | Some (_, id, tm) when stale t id tm ->
+      ignore (Sim.Heap.pop t.timers);
+      next_timeout t
+  | Some (deadline, _, _) -> Float.min 1.0 (Float.max 0.0 (deadline -. now t))
 
 let do_crash t id =
   match find_node t id with
   | Some node when node.n_alive ->
       node.n_alive <- false;
+      node.n_epoch <- node.n_epoch + 1;
       node.n_inited <- false;
       node.n_handler <- None;
       node.n_ctx <- None;
@@ -587,7 +504,7 @@ let do_crash t id =
       (match Hashtbl.find_opt t.muxes id with
       | Some m -> retire_mux t m
       | None -> ());
-      locked t (fun () -> Hashtbl.remove t.ports id);
+      Mutex.protect t.lock (fun () -> Hashtbl.remove t.ports id);
       Queue.clear node.n_deferred;
       (* Remove the dead node from any waiter list it sat on. *)
       Hashtbl.iter
@@ -608,7 +525,7 @@ let do_restart t id =
       node.n_alive <- true;
       node.n_charged <- 0.0;
       t.init_dirty <- true;
-      locked t (fun () -> Hashtbl.replace t.ports id port);
+      Mutex.protect t.lock (fun () -> Hashtbl.replace t.ports id port);
       (match t.tap with
       | None -> ()
       | Some tap -> tap ~self:id ~now:(now t) Core.Ob_restart)
@@ -620,7 +537,7 @@ let apply_cmd t = function
 
 let process_cmds t =
   let cmds =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let c = t.cmds in
         t.cmds <- [];
         c)
@@ -628,7 +545,7 @@ let process_cmds t =
   List.iter
     (fun cmd ->
       apply_cmd t cmd;
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.cmd_done <- t.cmd_done + 1;
           Condition.broadcast t.cond))
     cmds
@@ -669,7 +586,7 @@ let read_conn t conn =
 let reactor t =
   while Atomic.get t.phase < 2 do
     process_cmds t;
-    let nodes = List.rev (locked t (fun () -> t.nodes)) in
+    let nodes = List.rev (Mutex.protect t.lock (fun () -> t.nodes)) in
     init_pending t nodes;
     fire_due t;
     (* Flush to a fixpoint: local delivery dispatches handlers whose
@@ -736,13 +653,12 @@ let reactor t =
   Hashtbl.iter
     (fun _ m ->
       t.retired_writes <- t.retired_writes + m.m_out.Outbox.writes;
-      t.retired_bytes <- t.retired_bytes + m.m_out.Outbox.flushed_bytes;
       match m.m_sink with S_sock fd -> close_quiet fd | S_node _ -> ())
     t.muxes;
   Hashtbl.reset t.muxes;
   List.iter
     (fun n -> if n.n_alive then close_quiet n.n_listen)
-    (locked t (fun () -> t.nodes))
+    (Mutex.protect t.lock (fun () -> t.nodes))
 
 (* ---------------------------------------------------------------- *)
 (* Lifecycle                                                         *)
@@ -755,7 +671,7 @@ let spawn t ~name ~cpu_factor:_ factory =
      deployment, not on the reactor after [start]. *)
   let handler = factory () in
   let node =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let id = t.next_id in
         t.next_id <- id + 1;
         let node =
@@ -771,6 +687,7 @@ let spawn t ~name ~cpu_factor:_ factory =
             n_inited = false;
             n_parked = 0;
             n_deferred = Queue.create ();
+            n_epoch = 0;
             n_last_now = 0.0;
             n_charged = 0.0;
           }
@@ -797,7 +714,7 @@ let runtime t : 'm Core.t =
    deployment, not the OS. A stop before any start (phase 0 → 2) slides
    past the while loop straight into reactor cleanup. *)
 let reactor_entry t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       while Atomic.get t.phase = 0 do
         Condition.wait t.cond t.lock
       done);
@@ -812,21 +729,21 @@ let create ?high ?low ?direct ?on_backpressure ?tap ~codec () =
 
 let start t =
   if Atomic.compare_and_set t.phase 0 1 then
-    locked t (fun () -> Condition.broadcast t.cond)
+    Mutex.protect t.lock (fun () -> Condition.broadcast t.cond)
 
 let stop t =
   if Atomic.get t.phase <> 2 then begin
     Atomic.set t.phase 2;
     (* Order matters: the thread may be parked in [reactor_entry] (needs
        the broadcast) or blocked in select (needs the wake byte). *)
-    locked t (fun () -> Condition.broadcast t.cond);
+    Mutex.protect t.lock (fun () -> Condition.broadcast t.cond);
     wake t;
     (match t.thread with Some th -> Thread.join th | None -> ());
     close_quiet t.wake_r;
     close_quiet t.wake_w;
     (* Release anyone blocked in [submit] on a command the reactor will
        never process. *)
-    locked t (fun () -> Condition.broadcast t.cond)
+    Mutex.protect t.lock (fun () -> Condition.broadcast t.cond)
   end
 
 (* Run a crash/restart command: synchronously when the reactor is not
@@ -836,13 +753,13 @@ let submit t cmd =
   if Atomic.get t.phase <> 1 then apply_cmd t cmd
   else begin
     let target =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.cmds <- t.cmds @ [ cmd ];
           t.cmd_seq <- t.cmd_seq + 1;
           t.cmd_seq)
     in
     wake t;
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         while t.cmd_done < target && Atomic.get t.phase = 1 do
           Condition.wait t.cond t.lock
         done)
@@ -867,4 +784,4 @@ let await ?(timeout = 60.0) ?(poll = 0.002) t pred =
   in
   go (Float.min poll 0.00005)
 
-let port_of t id = locked t (fun () -> Hashtbl.find_opt t.ports id)
+let port_of t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.ports id)

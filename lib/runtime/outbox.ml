@@ -19,10 +19,6 @@ type t = {
   high : int;
   low : int;
   mutable engaged : bool;
-  mutable engagements : int;  (* times the high watermark was crossed *)
-  mutable peak : int;  (* max pending bytes ever *)
-  mutable frames : int;
-  mutable flushed_bytes : int;
   mutable writes : int;  (* flush syscalls that moved bytes *)
 }
 
@@ -37,10 +33,6 @@ let create ?(high = default_high) ?(low = default_low) () =
     high;
     low;
     engaged = false;
-    engagements = 0;
-    peak = 0;
-    frames = 0;
-    flushed_bytes = 0;
     writes = 0;
   }
 
@@ -51,12 +43,8 @@ let engaged t = t.engaged
    watermark (the caller parks producers and surfaces the signal). *)
 let append t ~src ~payload =
   Frame.append t.fb ~src ~payload;
-  t.frames <- t.frames + 1;
-  let p = pending t in
-  if p > t.peak then t.peak <- p;
-  if (not t.engaged) && p >= t.high then begin
+  if (not t.engaged) && pending t >= t.high then begin
     t.engaged <- true;
-    t.engagements <- t.engagements + 1;
     `Engaged
   end
   else `Ok
@@ -70,7 +58,6 @@ let flush t fd =
     match Unix.write fd t.fb.Frame.b t.fb.Frame.head t.fb.Frame.len with
     | n ->
         t.writes <- t.writes + 1;
-        t.flushed_bytes <- t.flushed_bytes + n;
         t.fb.Frame.head <- t.fb.Frame.head + n;
         t.fb.Frame.len <- t.fb.Frame.len - n;
         if t.fb.Frame.len = 0 then begin
@@ -96,10 +83,7 @@ let flush_local t ~stop ~frame ~bad =
       drained := !drained + Frame.header + String.length payload;
       frame ~src payload)
     ~bad;
-  if !drained > 0 then begin
-    t.writes <- t.writes + 1;
-    t.flushed_bytes <- t.flushed_bytes + !drained
-  end;
+  if !drained > 0 then t.writes <- t.writes + 1;
   !drained
 
 (* Disengage once drained below the low watermark; true iff the caller

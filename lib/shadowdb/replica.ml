@@ -51,16 +51,12 @@ module Registry = struct
 
   let create () = { mu = Mutex.create (); tbl = Hashtbl.create 8 }
 
-  let locked t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+  let set t l r = Mutex.protect t.mu (fun () -> Hashtbl.replace t.tbl l r)
 
-  let set t l r = locked t (fun () -> Hashtbl.replace t.tbl l r)
-
-  (* [f] is caller code: without Fun.protect, a raising observer would
-     leave the registry mutex held forever. *)
+  (* [f] is caller code: Mutex.protect releases the lock if it raises, so
+     a raising observer cannot leave the registry mutex held. *)
   let view t l f ~default =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         match Hashtbl.find_opt t.tbl l with Some r -> f r | None -> default)
 end
 

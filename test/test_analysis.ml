@@ -172,7 +172,7 @@ let test_callgraph_small () =
     | Error _ -> Alcotest.fail ("test source does not parse: " ^ path)
   in
   let g =
-    Analysis.Callgraph.build ~lock_helpers:[]
+    Analysis.Callgraph.build
       [ parse "test/util.ml" cg_util_src; parse "test/cg_main.ml" cg_main_src ]
   in
   let has name = Analysis.Callgraph.find_def g name <> None in

@@ -123,10 +123,6 @@ let test_proc_pingpong_loop () =
    executing replicas, wall-clock p50/p99.                              *)
 (* ------------------------------------------------------------------ *)
 
-let smr_codec () =
-  S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
-    ~dec_core:Shadowdb.Codec.decode_core_paxos
-
 (* Run the bank workload on [loop] and return (commits, per-replica
    content hashes of the executing replicas). Asserts completion, no
    runtime errors, and replica state agreement. *)
@@ -158,10 +154,9 @@ let run_smr_bank loop ~label ~clients ~count =
     S.spawn_clients ~world ~target:(S.To_smr cluster) ~n:clients ~count
       ~make_txn ~retry_timeout:2.0
       ~on_commit:(fun _now l ->
-        Mutex.lock mu;
-        incr commits;
-        Stats.Sample.add latencies l;
-        Mutex.unlock mu)
+        Mutex.protect mu (fun () ->
+            incr commits;
+            Stats.Sample.add latencies l))
       ()
   in
   let t0 = Unix.gettimeofday () in
@@ -197,7 +192,7 @@ let run_smr_bank loop ~label ~clients ~count =
   (!commits, hashes)
 
 let test_loop_smr_bank () =
-  let loop = R.Loop.create ~codec:(smr_codec ()) () in
+  let loop = R.Loop.create ~codec:Conform.Sys_wire.codec () in
   let clients = 4 and count = 30 in
   let commits, _ = run_smr_bank loop ~label:"loop" ~clients ~count in
   Alcotest.(check bool)
@@ -321,6 +316,53 @@ let test_loop_timers () =
   Alcotest.(check (list string))
     "deadline order, ties in arm order, cancelled and crashed dropped"
     [ "a"; "b1"; "b2"; "b3"; "end" ]
+    (List.rev !fired)
+
+(* A restart starts a new incarnation: a timer armed before the crash
+   must not fire into the restarted handler, as on the simulator. The
+   [keep] timer of a live node sits at the heap's root while [node] is
+   down, so the stale timer is still pending when [node] comes back. *)
+let test_loop_timers_restart () =
+  let loop = R.Loop.create ~codec:int_codec () in
+  let world = R.Loop.runtime loop in
+  let fired = ref [] and inits = Atomic.make 0 in
+  let _keeper =
+    R.spawn world ~name:"keeper" (fun () ->
+        R.Proc.stateful_handler
+          ~init:(fun ~self:_ ~now:_ -> ())
+          ~handle:(fun ctx () -> function
+            | R.Init -> ignore (R.set_timer ctx 0.4 "keep")
+            | R.Timer { tag; _ } -> fired := tag :: !fired
+            | R.Recv _ -> ())
+          ())
+  in
+  let node =
+    R.spawn world ~name:"node" (fun () ->
+        R.Proc.stateful_handler
+          ~init:(fun ~self:_ ~now:_ -> ())
+          ~handle:(fun ctx () -> function
+            | R.Init ->
+                if Atomic.get inits = 0 then
+                  ignore (R.set_timer ctx 0.5 "stale")
+                else ignore (R.set_timer ctx 0.8 "fresh");
+                Atomic.incr inits
+            | R.Timer { tag; _ } -> fired := tag :: !fired
+            | R.Recv _ -> ())
+          ())
+  in
+  R.Loop.start loop;
+  let up = R.Loop.await ~timeout:30.0 loop (fun () -> Atomic.get inits = 1) in
+  R.Loop.crash loop node;
+  R.Loop.restart loop node;
+  let ok =
+    R.Loop.await ~timeout:30.0 loop (fun () -> List.length !fired >= 2)
+  in
+  R.Loop.stop loop;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
+  Alcotest.(check bool) "first incarnation initialised" true up;
+  Alcotest.(check bool) "two timers fired" true ok;
+  Alcotest.(check (list string))
+    "no timer of the crashed incarnation" [ "keep"; "fresh" ]
     (List.rev !fired)
 
 (* Saturate one outbox with tiny watermarks: a producer bursts far more
@@ -450,11 +492,11 @@ let test_recorded_differential () =
     let tap =
       R.tap_all
         [
-          Conform.Recorder.tap r ~enc:(smr_codec ()).R.enc;
+          Conform.Recorder.tap r ~enc:Conform.Sys_wire.codec.R.enc;
           Conform.Online.tap online;
         ]
     in
-    let loop = R.Loop.create ~direct ~tap ~codec:(smr_codec ()) () in
+    let loop = R.Loop.create ~direct ~tap ~codec:Conform.Sys_wire.codec () in
     let _ = run_smr_bank loop ~label:("differential/" ^ name) ~clients ~count in
     let events = Conform.Recorder.events r in
     Alcotest.(check bool)
@@ -503,6 +545,8 @@ let () =
             (test_loop_crash_restart ~direct:false);
           Alcotest.test_case "timers: deadline order, cancel, crash" `Quick
             test_loop_timers;
+          Alcotest.test_case "timers: dropped across restart" `Quick
+            test_loop_timers_restart;
           Alcotest.test_case "outbox saturation: backpressure, no loss"
             `Quick test_loop_outbox_saturation;
         ] );
