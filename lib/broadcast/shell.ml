@@ -17,9 +17,8 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     | T.Broadcast e -> entry_size e
     | T.Core _ -> 256 (* consensus messages carry batches; flat estimate *)
 
-  let spawn ?(costs = default_costs) ?(profile = Gpm.Engine_profile.Compiled)
-      ?batch_cap ?window ?suspect_timeout ~world ~inj ~prj ~inj_notify ~n
-      ~subscribers () =
+  let spawn ?(profile = Gpm.Engine_profile.Compiled) ?batch_cap ?window
+      ~world ~inj ~prj ~inj_notify ~n ~subscribers () =
     let lat_f = Gpm.Engine_profile.cpu_factor profile in
     let data_f = Gpm.Engine_profile.data_factor profile in
     let members = ref [] in
@@ -27,7 +26,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       {
         R.Proc.init =
           (fun ~self ~now:_ ->
-            T.create ?batch_cap ?window ?suspect_timeout ~self
+            T.create ?batch_cap ?window ~self
               ~members:!members ~subscribers:(subscribers ()) ());
         start = T.start;
         recv = T.recv;
@@ -35,13 +34,13 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       }
     in
     let charge_recv ctx = function
-      | T.Broadcast _ -> R.charge ctx costs.client_msg
-      | T.Core _ -> R.charge ctx (costs.core_msg *. lat_f)
+      | T.Broadcast _ -> R.charge ctx default_costs.client_msg
+      | T.Core _ -> R.charge ctx (default_costs.core_msg *. lat_f)
     in
     let on_step ctx ~before ~after =
       R.charge ctx
         (float_of_int (T.delivered after - T.delivered before)
-        *. costs.per_entry *. data_f)
+        *. default_costs.per_entry *. data_f)
     in
     let interp ctx = function
       | T.Send (dst, m) -> R.send ctx ~size:(msg_size m) dst (inj m)

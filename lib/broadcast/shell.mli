@@ -25,11 +25,9 @@ module Make (C : Consensus.Consensus_intf.S) : sig
   module T : module type of Tob.Make (C)
 
   val spawn :
-    ?costs:costs ->
     ?profile:Gpm.Engine_profile.t ->
     ?batch_cap:int ->
     ?window:int ->
-    ?suspect_timeout:float ->
     world:'w Runtime.t ->
     inj:(T.msg -> 'w) ->
     prj:('w -> T.msg option) ->

@@ -25,7 +25,6 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     subscribers : loc list;
     batch_cap : int;
     window : int;  (* max batches in flight through consensus at once *)
-    suspect_timeout : float;
     core : batch C.t;
     pending : entry list;  (* accumulated, newest last *)
     awaiting : batch list;  (* our batches in flight, oldest first *)
@@ -35,15 +34,16 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     last_progress : float;
   }
 
-  let create ?(batch_cap = 64) ?(window = 1) ?(suspect_timeout = 0.5) ~self
-      ~members ~subscribers () =
+  (* No-progress interval after which a member prods its consensus core. *)
+  let suspect_timeout = 0.5
+
+  let create ?(batch_cap = 64) ?(window = 1) ~self ~members ~subscribers () =
     {
       self;
       members;
       subscribers;
       batch_cap;
       window = max 1 window;
-      suspect_timeout;
       core = C.create ~self ~members;
       pending = [];
       awaiting = [];
@@ -124,7 +124,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
   let start t ~now =
     let core, core_acts = C.start t.core in
     let t, acts = integrate { t with core; last_progress = now } now core_acts [] in
-    (t, acts @ [ Set_timer t.suspect_timeout ])
+    (t, acts @ [ Set_timer suspect_timeout ])
 
   let recv t ~now ~src msg =
     match msg with
@@ -140,7 +140,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
      takeover / retransmission), then re-arm the heartbeat. *)
   let tick t ~now =
     let stuck =
-      t.awaiting <> [] && now -. t.last_progress > t.suspect_timeout
+      t.awaiting <> [] && now -. t.last_progress > suspect_timeout
     in
     let t, acts =
       if stuck then begin
@@ -149,5 +149,5 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       end
       else (t, [])
     in
-    (t, acts @ [ Set_timer (t.suspect_timeout /. 2.0) ])
+    (t, acts @ [ Set_timer (suspect_timeout /. 2.0) ])
 end

@@ -41,7 +41,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
   val create :
     ?batch_cap:int ->
     ?window:int ->
-    ?suspect_timeout:float ->
     self:loc ->
     members:loc list ->
     subscribers:loc list ->
@@ -51,9 +50,8 @@ module Make (C : Consensus.Consensus_intf.S) : sig
       [batch_cap] bounds entries per proposal (default 64).
       [window] is the number of batches this member may have in flight
       through consensus simultaneously (default 1; clamped to [>= 1]).
-      [suspect_timeout] is the no-progress interval after which the member
-      prods the consensus core (leader re-election / retransmission;
-      default 0.5 s). *)
+      A member that makes no progress for 0.5 s prods the consensus core
+      (leader re-election / retransmission). *)
 
   val start : t -> now:float -> t * action list
   val recv : t -> now:float -> src:loc -> msg -> t * action list

@@ -1,65 +1,12 @@
 module Engine = Sim.Engine
-module Tob = Broadcast.Tob
 
 type point = { label : string; throughput : float; latency_ms : float }
 
-(* A generic TOB load point over any consensus core. *)
+(* The Fig. 8 load driver with the ablations' own seed and payload. *)
 module Tob_load (C : Consensus.Consensus_intf.S) = struct
-  module Shell = Broadcast.Shell.Make (C)
+  module L = Fig8.Load (C)
 
-  type wire = Svc of Shell.T.msg | Note of Tob.deliver
-
-  let run ?batch_cap ?window ~n_members ~n_clients ~msgs_per_client () =
-    let world : wire Engine.t = Engine.create ~seed:47 () in
-    let latencies = Stats.Sample.create () in
-    let last = ref 0.0 in
-    let client_ids = ref [] in
-    let members = ref [] in
-    let mk_client () =
-      let locref = ref (-1) in
-      let id =
-        Engine.spawn world ~name:"abl-client" (fun () ->
-            let next_id = ref 0 in
-            let sent_at = ref 0.0 in
-            let send ctx =
-              sent_at := Engine.time ctx;
-              Engine.send ctx ~size:164 (List.hd !members)
-                (Svc
-                   (Shell.T.Broadcast
-                      { Tob.origin = !locref; id = !next_id; payload = "abl" }))
-            in
-            fun ctx -> function
-              | Engine.Init -> send ctx
-              | Engine.Recv { msg = Note d; _ } ->
-                  if
-                    d.Tob.entry.Tob.origin = !locref
-                    && d.Tob.entry.Tob.id = !next_id
-                  then begin
-                    let now = Engine.time ctx in
-                    Stats.Sample.add latencies (now -. !sent_at);
-                    last := now;
-                    incr next_id;
-                    if !next_id < msgs_per_client then send ctx
-                  end
-              | Engine.Recv _ | Engine.Timer _ -> ())
-      in
-      locref := id;
-      id
-    in
-    let svc =
-      Shell.spawn ?batch_cap ?window ~world:(Runtime.Of_sim.of_engine world)
-        ~inj:(fun m -> Svc m)
-        ~prj:(function Svc m -> Some m | Note _ -> None)
-        ~inj_notify:(fun d -> Note d)
-        ~n:n_members
-        ~subscribers:(fun () -> !client_ids)
-        ()
-    in
-    members := svc;
-    client_ids := List.init n_clients (fun _ -> mk_client ());
-    Engine.run ~until:3600.0 ~max_events:50_000_000 world;
-    ( float_of_int (n_clients * msgs_per_client) /. !last,
-      Stats.Sample.mean latencies *. 1e3 )
+  let run = L.run ~seed:47 ~payload:"abl"
 end
 
 module Paxos_load = Tob_load (Consensus.Paxos)

@@ -1,86 +1,87 @@
 module Engine = Sim.Engine
 module Tob = Broadcast.Tob
-module Shell = Broadcast.Shell.Make (Consensus.Paxos)
-
-type wire = Svc of Shell.T.msg | Note of Tob.deliver
 
 type point = { clients : int; throughput : float; latency_ms : float }
 
-let payload = String.make 140 'p' (* the paper's 140-byte payload *)
+module Load (C : Consensus.Consensus_intf.S) = struct
+  module Shell = Broadcast.Shell.Make (C)
 
-let run_point ?costs ~profile ~n_clients ~msgs_per_client () =
-  let world : wire Engine.t = Engine.create ~seed:42 () in
-  let latencies = Stats.Sample.create () in
-  let last_commit = ref 0.0 in
-  let completed = ref 0 in
-  let client_ids = ref [] in
-  let members = ref [] in
-  let mk_client () =
-    let locref = ref (-1) in
-    let id =
-      Engine.spawn world ~name:"fig8-client" (fun () ->
-          let next_id = ref 0 in
-          let sent_at = ref 0.0 in
-          let attempt = ref 0 in
-          let send ctx =
-            let ms = !members in
-            let contact = List.nth ms (!attempt mod List.length ms) in
-            incr attempt;
-            sent_at := Engine.time ctx;
-            Engine.send ctx ~size:164 contact
-              (Svc
-                 (Shell.T.Broadcast
-                    { Tob.origin = !locref; id = !next_id; payload }))
-          in
-          fun ctx -> function
-            | Engine.Init -> send ctx
-            | Engine.Recv { msg = Note d; _ } ->
-                if
-                  d.Tob.entry.Tob.origin = !locref
-                  && d.Tob.entry.Tob.id = !next_id
-                then begin
-                  let now = Engine.time ctx in
-                  Stats.Sample.add latencies (now -. !sent_at);
-                  last_commit := now;
-                  incr next_id;
-                  (* Stick with the member that answered. *)
-                  attempt := !attempt - 1;
-                  if !next_id < msgs_per_client then send ctx
-                  else incr completed
-                end
-            | Engine.Recv _ | Engine.Timer _ -> ())
+  type wire = Svc of Shell.T.msg | Note of Tob.deliver
+
+  let run ~seed ~payload ?profile ?batch_cap ?window ~n_members ~n_clients
+      ~msgs_per_client () =
+    let world : wire Engine.t = Engine.create ~seed () in
+    let latencies = Stats.Sample.create () in
+    let last_commit = ref 0.0 in
+    let completed = ref 0 in
+    let client_ids = ref [] in
+    let members = ref [] in
+    let mk_client () =
+      let locref = ref (-1) in
+      let id =
+        Engine.spawn world ~name:"tob-client" (fun () ->
+            let next_id = ref 0 in
+            let sent_at = ref 0.0 in
+            let send ctx =
+              sent_at := Engine.time ctx;
+              Engine.send ctx ~size:164 (List.hd !members)
+                (Svc
+                   (Shell.T.Broadcast
+                      { Tob.origin = !locref; id = !next_id; payload }))
+            in
+            fun ctx -> function
+              | Engine.Init -> send ctx
+              | Engine.Recv { msg = Note d; _ } ->
+                  if
+                    d.Tob.entry.Tob.origin = !locref
+                    && d.Tob.entry.Tob.id = !next_id
+                  then begin
+                    let now = Engine.time ctx in
+                    Stats.Sample.add latencies (now -. !sent_at);
+                    last_commit := now;
+                    incr next_id;
+                    if !next_id < msgs_per_client then send ctx
+                    else incr completed
+                  end
+              | Engine.Recv _ | Engine.Timer _ -> ())
+      in
+      locref := id;
+      id
     in
-    locref := id;
-    id
-  in
-  let svc =
-    Shell.spawn ?costs ~profile ~world:(Runtime.Of_sim.of_engine world)
-      ~inj:(fun m -> Svc m)
-      ~prj:(function Svc m -> Some m | Note _ -> None)
-      ~inj_notify:(fun d -> Note d)
-      ~n:3
-      ~subscribers:(fun () -> !client_ids)
-      ()
-  in
-  members := svc;
-  client_ids := List.init n_clients (fun _ -> mk_client ());
-  Engine.run ~until:3600.0 ~max_events:50_000_000 world;
-  let total = n_clients * msgs_per_client in
-  if !completed < n_clients then
-    Printf.eprintf "fig8: warning: only %d/%d clients completed\n%!" !completed
-      n_clients;
-  {
-    clients = n_clients;
-    throughput = float_of_int total /. !last_commit;
-    latency_ms = Stats.Sample.mean latencies *. 1e3;
-  }
+    let svc =
+      Shell.spawn ?profile ?batch_cap ?window
+        ~world:(Runtime.Of_sim.of_engine world)
+        ~inj:(fun m -> Svc m)
+        ~prj:(function Svc m -> Some m | Note _ -> None)
+        ~inj_notify:(fun d -> Note d)
+        ~n:n_members
+        ~subscribers:(fun () -> !client_ids)
+        ()
+    in
+    members := svc;
+    client_ids := List.init n_clients (fun _ -> mk_client ());
+    Engine.run ~until:3600.0 ~max_events:50_000_000 world;
+    if !completed < n_clients then
+      Printf.eprintf "tob load: warning: only %d/%d clients completed\n%!"
+        !completed n_clients;
+    ( float_of_int (n_clients * msgs_per_client) /. !last_commit,
+      Stats.Sample.mean latencies *. 1e3 )
+end
+
+module Paxos_load = Load (Consensus.Paxos)
+
+let payload = String.make 140 'p' (* the paper's 140-byte payload *)
 
 let default_clients = [ 1; 2; 4; 8; 16; 24; 32; 43 ]
 
-let run_engine ?costs ?(msgs_per_client = 60) ?(clients = default_clients)
-    profile =
+let run_engine ?(msgs_per_client = 60) ?(clients = default_clients) profile =
   List.map
-    (fun n_clients -> run_point ?costs ~profile ~n_clients ~msgs_per_client ())
+    (fun n_clients ->
+      let throughput, latency_ms =
+        Paxos_load.run ~seed:42 ~payload ~profile ~n_members:3 ~n_clients
+          ~msgs_per_client ()
+      in
+      { clients = n_clients; throughput; latency_ms })
     clients
 
 let run ?(quick = true) () =

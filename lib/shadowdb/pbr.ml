@@ -9,26 +9,31 @@
 
 open Replica
 
-(* Bounded cache of recently executed transactions (for catch-up). *)
+(* Bounded cache of recently executed transactions (for catch-up): a
+   ring indexed by [gseq mod cap], so a push is O(1) and a range costs
+   its length. A slot holds the last transaction pushed in its residue
+   class; a range is served only if every slot holds exactly the number
+   asked for, so a gap (after a snapshot install) or an overwritten
+   number gives [None]. *)
 module Cache = struct
-  type t = { cap : int; mutable items : (int * Txn.t) list (* newest first *) }
+  type t = { cap : int; slots : (int * Txn.t) option array }
 
-  let create cap = { cap; items = [] }
+  let create cap = { cap; slots = Array.make cap None }
 
   let push t gseq txn =
-    t.items <- (gseq, txn) :: t.items;
-    if List.length t.items > t.cap then
-      t.items <- List.filteri (fun i _ -> i < t.cap) t.items
+    if t.cap > 0 then t.slots.(gseq mod t.cap) <- Some (gseq, txn)
 
   (* Transactions with global number in (from, upto], oldest first;
      [None] if the cache no longer spans that range. *)
   let range t ~from ~upto =
-    let hits =
-      List.filter (fun (g, _) -> g > from && g <= upto) t.items
+    let rec go g acc =
+      if g <= from then Some acc
+      else
+        match t.slots.(g mod t.cap) with
+        | Some ((g', _) as e) when g' = g -> go (g - 1) (e :: acc)
+        | Some _ | None -> None
     in
-    if List.length hits = upto - from then
-      Some (List.sort (fun (a, _) (b, _) -> compare a b) hits)
-    else None
+    if upto < from || upto - from > t.cap then None else go upto []
 end
 
 module Make (C : Consensus.Consensus_intf.S) = struct
@@ -411,8 +416,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
 
   let spawn_pbr ?(style = Primary_backup) ?(read_kinds = [])
       ?(tun = default_tuning) ?(backends : Storage.Store.kind list option)
-      ?(tob_profile = Gpm.Engine_profile.Interpreted_opt) ?tob_window ~world
-      ~registry ~setup ~n_active ~n_spare () =
+      ?tob_window ~world ~registry ~setup ~n_active ~n_spare () =
     let shared : pbr_replica Registry.t = Registry.create () in
     let all_ref = ref [] in
     let tob_ref = ref [] in
@@ -452,7 +456,9 @@ module Make (C : Consensus.Consensus_intf.S) = struct
     in
     all_ref := replicas;
     let tob =
-      Shell.spawn ~profile:tob_profile ?window:tob_window ~world
+      (* The paper runs PBR's broadcast service interpreted. *)
+      Shell.spawn ~profile:Gpm.Engine_profile.Interpreted_opt
+        ?window:tob_window ~world
         ~inj:(fun m -> Svc m)
         ~prj:(function Svc m -> Some m | Note _ | Db _ -> None)
         ~inj_notify:(fun d -> Note d)

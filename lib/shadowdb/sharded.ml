@@ -277,10 +277,8 @@ module Make (C : Consensus.Consensus_intf.S) = struct
   }
 
   let spawn_sharded ?(tun = default_tuning) ?backends
-      ?(durability : (int -> durability option) = fun _ -> None)
-      ?(costs = Broadcast.Shell.default_costs) ?tob_window
-      ?(coord_journal = true) ?(pending_timeout = 1.5)
-      ?(pump_interval = 0.005)
+      ?(durability : (int -> durability option) = fun _ -> None) ?tob_window
+      ?(coord_journal = true) ?(pending_timeout = 1.5) ?(pump_interval = 0.005)
       ?(on_apply =
         fun ~shard:_ ~node:_ ~client:_ ~seq:_ ~commit:_ ~keys:_ -> ())
       ?(on_decide = fun ~client:_ ~seq:_ ~commit:_ -> ()) ~world ~registry
@@ -314,7 +312,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
                 xc_keys_of = router.Shard.keys_of;
                 xc_on_apply = on_apply;
               }
-            ~tun ?backends ?durability:(durability s) ~costs ?tob_window
+            ~tun ?backends ?durability:(durability s) ?tob_window
             ~world ~registry ~setup:(setup s) ~n_active:3 ())
     in
     groups_ref := groups;

@@ -218,7 +218,6 @@ module Make (C : Consensus.Consensus_intf.S) = struct
 
   type smr_replica = {
     n : node;  (* [gseq]: delivered entries counted by every node *)
-    costs : Broadcast.Shell.costs;
     mutable tob : TM.t;
     mutable role : smr_role;
     mutable buffered : Txn.t list;  (* delivered while syncing, oldest first *)
@@ -335,7 +334,7 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       ()
     else begin
       r.sdur_floor <- max r.sdur_floor d.Tob.seqno;
-      R.charge ctx r.costs.Broadcast.Shell.per_entry;
+      R.charge ctx Broadcast.Shell.default_costs.per_entry;
       r.n.gseq <- r.n.gseq + 1;
       match r.sx2pc with
       | Some x ->
@@ -443,8 +442,9 @@ module Make (C : Consensus.Consensus_intf.S) = struct
         match msg with
         | Svc m ->
             (match m with
-            | TM.Broadcast _ -> R.charge ctx r.costs.Broadcast.Shell.client_msg
-            | TM.Core _ -> R.charge ctx r.costs.Broadcast.Shell.core_msg);
+            | TM.Broadcast _ ->
+                R.charge ctx Broadcast.Shell.default_costs.client_msg
+            | TM.Core _ -> R.charge ctx Broadcast.Shell.default_costs.core_msg);
             smr_feed_tob ctx r (TM.recv r.tob ~now:(R.time ctx) ~src m)
         | Note d -> smr_deliver ctx r d
         | Db (Db_msg.Heartbeat _) -> heard ctx r.n src
@@ -483,9 +483,8 @@ module Make (C : Consensus.Consensus_intf.S) = struct
         | Db _ -> ())
 
   let spawn_smr_group ?(name_prefix = "") ?x2pc ?(tun = default_tuning)
-      ?(backends : Storage.Store.kind list option) ?durability
-      ?(costs = Broadcast.Shell.default_costs) ?tob_window ~world ~registry
-      ~setup ~n_active () =
+      ?(backends : Storage.Store.kind list option) ?durability ?tob_window
+      ~world ~registry ~setup ~n_active () =
     let shared : smr_replica Registry.t = Registry.create () in
     let nodes_ref = ref [] in
     let init i ~self ~now =
@@ -516,7 +515,6 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       let r =
         {
           n;
-          costs;
           tob =
             TM.create ?window:tob_window ~self ~members:nodes
               ~subscribers:[ self ] ();
@@ -556,8 +554,8 @@ module Make (C : Consensus.Consensus_intf.S) = struct
       smr_db_view = (fun l f ~default -> view l (fun r -> f r.n.db) ~default);
     }
 
-  let spawn_smr ?tun ?backends ?durability ?costs ?tob_window ~world
-      ~registry ~setup ~n_active () =
-    spawn_smr_group ?tun ?backends ?durability ?costs ?tob_window ~world
-      ~registry ~setup ~n_active ()
+  let spawn_smr ?tun ?backends ?durability ?tob_window ~world ~registry
+      ~setup ~n_active () =
+    spawn_smr_group ?tun ?backends ?durability ?tob_window ~world ~registry
+      ~setup ~n_active ()
 end

@@ -100,7 +100,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     ?read_kinds:string list ->
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
-    ?tob_profile:Gpm.Engine_profile.t ->
     ?tob_window:int ->
     world:wire Runtime.t ->
     registry:(unit -> Txn.registry) ->
@@ -113,9 +112,9 @@ module Make (C : Consensus.Consensus_intf.S) : sig
       [n_spare] spares, and the 3-member broadcast service used for
       reconfiguration. [backends] assigns diverse storage engines
       round-robin (default all "hazel"); [setup] loads the initial data
-      identically at every replica; [tob_profile] selects the broadcast
-      service's execution engine (the paper runs PBR's service
-      interpreted); [tob_window] is the service's consensus pipelining
+      identically at every replica; the broadcast service runs on the
+      interpreted-over-optimizer engine, as the paper runs PBR's service
+      interpreted; [tob_window] is the service's consensus pipelining
       window (batches in flight per member, default 1).
 
       [style:Chain] spawns a chain-replication cluster: the configuration
@@ -158,7 +157,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
     ?durability:durability ->
-    ?costs:Broadcast.Shell.costs ->
     ?tob_window:int ->
     world:wire Runtime.t ->
     registry:(unit -> Txn.registry) ->
@@ -198,7 +196,6 @@ module Make (C : Consensus.Consensus_intf.S) : sig
     ?tun:tuning ->
     ?backends:Storage.Store.kind list ->
     ?durability:(int -> durability option) ->
-    ?costs:Broadcast.Shell.costs ->
     ?tob_window:int ->
     ?coord_journal:bool ->
     ?pending_timeout:float ->

@@ -466,48 +466,51 @@ let for_each_district db f =
       match acc with Error _ -> acc | Ok () -> f (get_i drow.(1)) drow)
     (Ok ()) districts
 
+(* One pass over [table], folding each row into its district's
+   accumulator: column 1 is the district id of every order-side table. *)
+let by_district db table ~init ~f =
+  let acc = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      let d = get_i r.(1) in
+      let a = Option.value (Hashtbl.find_opt acc d) ~default:init in
+      Hashtbl.replace acc d (f a r))
+    (scan_all db table);
+  fun d -> Option.value (Hashtbl.find_opt acc d) ~default:init
+
 let consistency_2 db =
+  let max_o =
+    by_district db "ORDERS" ~init:0 ~f:(fun a r -> max a (get_i r.(2)))
+  in
   for_each_district db (fun d drow ->
       let next = get_i drow.(5) in
-      let orders =
-        scan_all db "ORDERS" |> List.filter (fun r -> get_i r.(1) = d)
-      in
-      let max_o =
-        List.fold_left (fun a r -> max a (get_i r.(2))) 0 orders
-      in
-      if max_o = next - 1 then Ok ()
+      if max_o d = next - 1 then Ok ()
       else
         Error
           (Printf.sprintf "district %d: max(O_ID)=%d, D_NEXT_O_ID-1=%d" d
-             max_o (next - 1)))
+             (max_o d) (next - 1)))
 
 let consistency_3 db =
+  let news =
+    by_district db "NEW_ORDER" ~init:(0, max_int, min_int)
+      ~f:(fun (n, mn, mx) r ->
+        let o = get_i r.(2) in
+        (n + 1, min mn o, max mx o))
+  in
   for_each_district db (fun d _ ->
-      let news =
-        scan_all db "NEW_ORDER" |> List.filter (fun r -> get_i r.(1) = d)
-      in
-      match news with
-      | [] -> Ok ()
-      | _ ->
-          let ids = List.map (fun r -> get_i r.(2)) news in
-          let mn = List.fold_left min max_int ids in
-          let mx = List.fold_left max min_int ids in
-          if mx - mn + 1 = List.length news then Ok ()
-          else
-            Error
-              (Printf.sprintf "district %d: NEW_ORDER ids not contiguous" d))
+      let n, mn, mx = news d in
+      if n = 0 || mx - mn + 1 = n then Ok ()
+      else
+        Error (Printf.sprintf "district %d: NEW_ORDER ids not contiguous" d))
 
 let consistency_4 db =
+  let sum_cnt =
+    by_district db "ORDERS" ~init:0 ~f:(fun a r -> a + get_i r.(4))
+  in
+  let lines = by_district db "ORDER_LINE" ~init:0 ~f:(fun a _ -> a + 1) in
   for_each_district db (fun d _ ->
-      let orders =
-        scan_all db "ORDERS" |> List.filter (fun r -> get_i r.(1) = d)
-      in
-      let sum_cnt = List.fold_left (fun a r -> a + get_i r.(4)) 0 orders in
-      let lines =
-        scan_all db "ORDER_LINE" |> List.filter (fun r -> get_i r.(1) = d)
-      in
-      if sum_cnt = List.length lines then Ok ()
+      if sum_cnt d = lines d then Ok ()
       else
         Error
           (Printf.sprintf "district %d: sum(O_OL_CNT)=%d, #ORDER_LINE=%d" d
-             sum_cnt (List.length lines)))
+             (sum_cnt d) (lines d)))

@@ -497,6 +497,69 @@ let prop_config_codec_roundtrip =
       | Shadowdb.Codec.P_reconfig (c', 42, 7) -> Shadowdb.Config.equal c c'
       | _ -> false)
 
+(* Pbr.Cache against the list it replaced (the last [cap] pushes, newest
+   first) on random runs of executions, snapshot-install jumps and
+   catch-up queries up to the current number. *)
+module List_cache = struct
+  type t = { cap : int; mutable items : (int * Txn.t) list }
+
+  let create cap = { cap; items = [] }
+
+  let push t gseq txn =
+    t.items <- (gseq, txn) :: t.items;
+    if List.length t.items > t.cap then
+      t.items <- List.filteri (fun i _ -> i < t.cap) t.items
+
+  let range t ~from ~upto =
+    let hits = List.filter (fun (g, _) -> g > from && g <= upto) t.items in
+    if List.length hits = upto - from then
+      Some (List.sort (fun (a, _) (b, _) -> compare a b) hits)
+    else None
+end
+
+type cache_op = Exec | Jump of int | Query of int
+
+let prop_pbr_cache_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, return Exec);
+          (1, map (fun k -> Jump k) (1 -- 6));
+          (3, map (fun k -> Query k) (0 -- 12));
+        ])
+  in
+  let print = function
+    | Exec -> "exec"
+    | Jump k -> Printf.sprintf "jump %d" k
+    | Query k -> Printf.sprintf "query -%d" k
+  in
+  QCheck.Test.make ~name:"Pbr.Cache ring = list reference" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print))
+       QCheck.Gen.(pair (0 -- 8) (list_size (0 -- 80) op)))
+    (fun (cap, ops) ->
+      let ring = Shadowdb.Pbr.Cache.create cap and model = List_cache.create cap in
+      let gseq = ref 0 in
+      List.for_all
+        (function
+          | Exec ->
+              incr gseq;
+              let txn =
+                { Txn.client = 1; seq = !gseq; kind = "deposit"; params = [] }
+              in
+              Shadowdb.Pbr.Cache.push ring !gseq txn;
+              List_cache.push model !gseq txn;
+              true
+          | Jump k ->
+              gseq := !gseq + k;
+              true
+          | Query k ->
+              let from = max 0 (!gseq - k) and upto = !gseq in
+              Shadowdb.Pbr.Cache.range ring ~from ~upto
+              = List_cache.range model ~from ~upto)
+        ops)
+
 let test_config_next () =
   let c = Shadowdb.Config.initial [ 1; 2; 3 ] in
   let c' = Shadowdb.Config.next c ~remove:[ 2 ] ~add:[ 9 ] in
@@ -513,6 +576,7 @@ let () =
             test_txn_execute_rollback;
           qt prop_txn_codec_roundtrip;
           qt prop_config_codec_roundtrip;
+          qt prop_pbr_cache_model;
           Alcotest.test_case "config next" `Quick test_config_next;
         ] );
       ( "pbr",

@@ -114,6 +114,40 @@ let test_tpcc_initial_consistency () =
       ("c4", Tpcc.consistency_4);
     ]
 
+(* Each of checks 2-4 rejects a database broken in district 3 in its own
+   way, and names that district. *)
+let test_tpcc_consistency_violations () =
+  let broken name check break =
+    let db, _ = mk_tpcc () in
+    break db;
+    match check db with
+    | Ok () -> Alcotest.fail (name ^ ": violation not detected")
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names district 3: %s" name e)
+          true
+          (String.starts_with ~prefix:"district 3:" e)
+  in
+  let key = List.map (fun i -> Value.Int i) in
+  let ok_true name = function
+    | Ok true -> ()
+    | Ok false | Error _ -> Alcotest.fail (name ^ ": row not found")
+  in
+  broken "c2" Tpcc.consistency_2 (fun db ->
+      ok_true "D_NEXT_O_ID bump"
+        (Database.update db "DISTRICT" (key [ 1; 3 ]) (fun r ->
+             let r = Array.copy r in
+             (match r.(5) with
+             | Value.Int n -> r.(5) <- Value.Int (n + 1)
+             | _ -> Alcotest.fail "D_NEXT_O_ID is not an int");
+             r)));
+  broken "c3" Tpcc.consistency_3 (fun db ->
+      ok_true "middle NEW_ORDER"
+        (Database.delete db "NEW_ORDER" (key [ 1; 3; 25 ])));
+  broken "c4" Tpcc.consistency_4 (fun db ->
+      ok_true "one ORDER_LINE"
+        (Database.delete db "ORDER_LINE" (key [ 1; 3; 10; 2 ])))
+
 let test_tpcc_new_order () =
   let db, reg = mk_tpcc () in
   let orders_before = Database.row_count db "ORDERS" in
@@ -347,6 +381,8 @@ let () =
           Alcotest.test_case "setup counts" `Quick test_tpcc_setup_counts;
           Alcotest.test_case "initial consistency" `Quick
             test_tpcc_initial_consistency;
+          Alcotest.test_case "consistency violations" `Quick
+            test_tpcc_consistency_violations;
           Alcotest.test_case "new_order" `Quick test_tpcc_new_order;
           Alcotest.test_case "new_order bad item" `Quick
             test_tpcc_new_order_bad_item_aborts;
