@@ -71,7 +71,7 @@ let pass ~target (g : Callgraph.t) (cfg : config) =
       emit ~code:"dispatch-under-lock" ~site
         "handler dispatch %s while holding the lock (%s)" callee via
   in
-  let locked_seeds = ref [] in
+  let seeds = ref [] in
   List.iter
     (fun (d : Callgraph.def) ->
       List.iter
@@ -82,12 +82,12 @@ let pass ~target (g : Callgraph.t) (cfg : config) =
                 (Printf.sprintf "in a critical section inside %s"
                    d.Callgraph.d_name)
               e.Callgraph.e_callee;
-            locked_seeds := e.Callgraph.e_callee :: !locked_seeds
+            seeds := e.Callgraph.e_callee :: !seeds
           end)
         (Callgraph.edges d))
     all_defs;
   (* transitively: anything the critical section calls *)
-  let r = Callgraph.reach g ~roots:!locked_seeds in
+  let r = Callgraph.reach g ~roots:!seeds in
   List.iter
     (fun (d : Callgraph.def) ->
       if Callgraph.reached r d.Callgraph.d_name then

@@ -53,7 +53,6 @@ let allowlist =
     "workload/tpcc.ml";
     "workload/zipf.ml";
     (* harness plotting helpers index known-non-empty series *)
-    "harness/ablations.ml";
     "harness/fig10.ml";
   ]
 

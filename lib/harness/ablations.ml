@@ -2,23 +2,17 @@ module Engine = Sim.Engine
 
 type point = { label : string; throughput : float; latency_ms : float }
 
+module Paxos_load = Fig8.Load (Consensus.Paxos)
+module Twothird_load = Fig8.Load (Consensus.Twothird_multi)
+
 (* The Fig. 8 load driver with the ablations' own seed and payload. *)
-module Tob_load (C : Consensus.Consensus_intf.S) = struct
-  module L = Fig8.Load (C)
-
-  let run = L.run ~seed:47 ~payload:"abl"
-end
-
-module Paxos_load = Tob_load (Consensus.Paxos)
-module Twothird_load = Tob_load (Consensus.Twothird_multi)
+let paxos_load = Paxos_load.run ~seed:47 ~payload:"abl"
+let twothird_load = Twothird_load.run ~seed:47 ~payload:"abl"
 
 let batching ?(clients = 24) ?(msgs_per_client = 80) () =
-  let t1, l1 =
-    Paxos_load.run ~n_members:3 ~n_clients:clients ~msgs_per_client ()
-  in
+  let t1, l1 = paxos_load ~n_members:3 ~n_clients:clients ~msgs_per_client () in
   let t2, l2 =
-    Paxos_load.run ~batch_cap:1 ~n_members:3 ~n_clients:clients
-      ~msgs_per_client ()
+    paxos_load ~batch_cap:1 ~n_members:3 ~n_clients:clients ~msgs_per_client ()
   in
   [
     { label = "batching on (cap 64)"; throughput = t1; latency_ms = l1 };
@@ -32,7 +26,7 @@ let pipelining ?(clients = 24) ?(msgs_per_client = 80) () =
   List.map
     (fun w ->
       let t, l =
-        Paxos_load.run ~batch_cap:1 ~window:w ~n_members:3 ~n_clients:clients
+        paxos_load ~batch_cap:1 ~window:w ~n_members:3 ~n_clients:clients
           ~msgs_per_client ()
       in
       {
@@ -43,11 +37,9 @@ let pipelining ?(clients = 24) ?(msgs_per_client = 80) () =
     [ 1; 2; 4 ]
 
 let consensus_modules ?(clients = 16) ?(msgs_per_client = 80) () =
-  let t1, l1 =
-    Paxos_load.run ~n_members:3 ~n_clients:clients ~msgs_per_client ()
-  in
+  let t1, l1 = paxos_load ~n_members:3 ~n_clients:clients ~msgs_per_client () in
   let t2, l2 =
-    Twothird_load.run ~n_members:4 ~n_clients:clients ~msgs_per_client ()
+    twothird_load ~n_members:4 ~n_clients:clients ~msgs_per_client ()
   in
   [
     { label = "paxos-synod (3 members)"; throughput = t1; latency_ms = l1 };

@@ -24,7 +24,9 @@ module Load (C : Consensus.Consensus_intf.S) = struct
             let sent_at = ref 0.0 in
             let send ctx =
               sent_at := Engine.time ctx;
-              Engine.send ctx ~size:164 (List.hd !members)
+              Engine.send ctx ~size:164
+                (Sim.Invariant.head ~layer:"harness" ~what:"tob load members"
+                   !members)
                 (Svc
                    (Shell.T.Broadcast
                       { Tob.origin = !locref; id = !next_id; payload }))

@@ -34,7 +34,12 @@ module Load (C : Consensus.Consensus_intf.S) : sig
 end
 
 val run_engine :
-  ?msgs_per_client:int -> ?clients:int list -> Gpm.Engine_profile.t -> point list
+  ?msgs_per_client:int ->
+  ?clients:int list ->
+  Gpm.Engine_profile.t ->
+  point list
+(** One engine's sweep over [clients] (default 1 to 43) with
+    [msgs_per_client] (default 60) 140-byte broadcasts each. *)
 
 val run : ?quick:bool -> unit -> (Gpm.Engine_profile.t * point list) list
 (** All three engines. [quick] (default true) uses fewer messages per

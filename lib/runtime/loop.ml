@@ -81,7 +81,12 @@ type 'm mux = {
 }
 
 (* A pending timer, keyed in the heap by (deadline, id). *)
-type 'm timer = { tm_node : 'm node; tm_epoch : int; tm_tag : string }
+type 'm timer = {
+  tm_id : int;
+  tm_node : 'm node;
+  tm_epoch : int;  (* the node's crash count when armed *)
+  tm_tag : string;
+}
 
 type cmd = Crash of Sim.Node_id.t | Restart of Sim.Node_id.t
 
@@ -275,10 +280,14 @@ and ctx_for t node =
             (fun delay tag ->
               t.timer_seq <- t.timer_seq + 1;
               let id = t.timer_seq in
-              Sim.Heap.push t.timers
-                ~time:(node_now t node +. Float.max 0.0 delay)
-                ~seq:id
-                { tm_node = node; tm_epoch = node.n_epoch; tm_tag = tag };
+              let deadline = node_now t node +. Float.max 0.0 delay in
+              Sim.Heap.push t.timers ~time:deadline ~seq:id
+                {
+                  tm_id = id;
+                  tm_node = node;
+                  tm_epoch = node.n_epoch;
+                  tm_tag = tag;
+                };
               id);
           ctx_cancel_timer = (fun id -> Hashtbl.replace t.cancelled id ());
           ctx_charge = (fun s -> node.n_charged <- node.n_charged +. s);
@@ -459,36 +468,37 @@ let init_pending t nodes =
       nodes
   end
 
-(* A popped timer is dropped if it was cancelled (consuming the mark)
-   or armed by an incarnation of its node that has since crashed. *)
-let stale t id tm =
-  if Hashtbl.mem t.cancelled id then begin
-    Hashtbl.remove t.cancelled id;
+(* A timer is stale if it was cancelled (consuming the mark) or armed by
+   an incarnation of its node that has since crashed. *)
+let stale t tm =
+  if Hashtbl.mem t.cancelled tm.tm_id then begin
+    Hashtbl.remove t.cancelled tm.tm_id;
     true
   end
   else (not tm.tm_node.n_alive) || tm.tm_node.n_epoch <> tm.tm_epoch
 
 let rec fire_due t =
-  match Sim.Heap.peek t.timers with
-  | Some (deadline, id, tm) when deadline <= now t ->
-      ignore (Sim.Heap.pop t.timers);
-      (if not (stale t id tm) then
-         let node = tm.tm_node in
-         if node.n_parked > 0 then Queue.push (id, tm.tm_tag) node.n_deferred
-         else dispatch t node (Core.Timer { id; tag = tm.tm_tag }));
-      fire_due t
-  | _ -> ()
+  if Sim.Heap.is_empty t.timers || Sim.Heap.top_time t.timers > now t then ()
+  else begin
+    let tm = Sim.Heap.top_value t.timers in
+    ignore (Sim.Heap.pop t.timers);
+    (if not (stale t tm) then
+       let node = tm.tm_node in
+       if node.n_parked > 0 then Queue.push (tm.tm_id, tm.tm_tag) node.n_deferred
+       else dispatch t node (Core.Timer { id = tm.tm_id; tag = tm.tm_tag }));
+    fire_due t
+  end
 
 (* Distance to the earliest pending live timer — there is no fixed tick
    — capped at 1s for shutdown responsiveness. Stale roots are discarded
    on the way. *)
 let rec next_timeout t =
-  match Sim.Heap.peek t.timers with
-  | None -> 1.0
-  | Some (_, id, tm) when stale t id tm ->
-      ignore (Sim.Heap.pop t.timers);
-      next_timeout t
-  | Some (deadline, _, _) -> Float.min 1.0 (Float.max 0.0 (deadline -. now t))
+  if Sim.Heap.is_empty t.timers then 1.0
+  else if stale t (Sim.Heap.top_value t.timers) then begin
+    ignore (Sim.Heap.pop t.timers);
+    next_timeout t
+  end
+  else Float.min 1.0 (Float.max 0.0 (Sim.Heap.top_time t.timers -. now t))
 
 let do_crash t id =
   match find_node t id with
