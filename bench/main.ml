@@ -137,7 +137,7 @@ let require name ok =
     exit 1
   end
 
-module Sdb = Shadowdb.System.Make (Consensus.Paxos)
+module Sdb = Shadowdb.System
 
 let bank_rows = 1_000
 
@@ -233,11 +233,11 @@ let bench_trace_codec =
   let run = Conform.Record.sim_bank ~seed:7 ~clients:2 ~count:20 ~rows:512 () in
   let events = Conform.Recorder.events run.Conform.Record.recorder in
   let meta = Conform.Recorder.meta run.Conform.Record.recorder in
-  let spec_exec = Conform.Replay.spec_exec_of_meta meta in
+  let replay, monitors = Conform.Record.check_trace ~meta events in
   require "conform: LoE replay accepts the recorded trace"
-    (Conform.Replay.ok (Conform.Replay.check ?spec_exec events));
+    (Conform.Replay.ok replay);
   require "conform: monitors accept the recorded trace"
-    (Conform.Monitors.ok (Conform.Monitors.check ~meta events));
+    (Conform.Monitors.ok monitors);
   let roundtrip () =
     Conform.Trace_file.decode (Conform.Trace_file.encode ~meta events)
   in

@@ -10,7 +10,7 @@
 
 open Cmdliner
 module Engine = Sim.Engine
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 
 type mode = Pbr | Smr | Chain
 
@@ -75,28 +75,20 @@ let flat_agreement ~gseq_of ~hash_of alive =
 
 let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
   match mode with
-  | Pbr ->
+  | Pbr | Chain ->
+      (* [read_kinds] is served at a chain's tail; primary-backup ignores
+         it. *)
+      let style, n_active, describe =
+        match mode with
+        | Chain -> (S.Chain, 3, "chain (3 links + 1 spare)")
+        | _ -> (S.Primary_backup, 2, "primary-backup (2 active + 1 spare)")
+      in
       let c =
-        S.spawn_pbr ~backends ~tob_window:window ~world ~registry ~setup
-          ~n_active:2 ~n_spare:1 ()
+        S.spawn_pbr ~style ~read_kinds ~backends ~tob_window:window ~world
+          ~registry ~setup ~n_active ~n_spare:1 ()
       in
       {
-        describe = "primary-backup (2 active + 1 spare)";
-        target = S.To_pbr c;
-        replicas = c.S.pbr_replicas;
-        gseq_of = c.S.pbr_gseq_of;
-        hash_of = c.S.pbr_hash_of;
-        agreement =
-          flat_agreement ~gseq_of:c.S.pbr_gseq_of ~hash_of:c.S.pbr_hash_of;
-        extra = (fun () -> []);
-      }
-  | Chain ->
-      let c =
-        S.spawn_pbr ~style:S.Chain ~read_kinds ~backends ~tob_window:window ~world
-          ~registry ~setup ~n_active:3 ~n_spare:1 ()
-      in
-      {
-        describe = "chain (3 links + 1 spare)";
+        describe;
         target = S.To_pbr c;
         replicas = c.S.pbr_replicas;
         gseq_of = c.S.pbr_gseq_of;
@@ -218,7 +210,7 @@ let conform_taps ~meta ~trace ~monitor =
   let taps =
     (match recorder with
     | Some r ->
-        [ Conform.Recorder.tap r ~enc:Conform.Sys_wire.codec.Runtime.enc ]
+        [ Conform.Recorder.tap r ~enc:S.wire_codec.Runtime.enc ]
     | None -> [])
     @ match online with Some o -> [ Conform.Online.tap o ] | None -> []
   in
@@ -327,7 +319,7 @@ let run_socket mode wl shards clients count crash_at diverse window trace
   | Some _ ->
       Printf.eprintf "shadowdb: --crash-at is simulator-only; ignoring\n%!"
   | None -> ());
-  let codec = Conform.Sys_wire.codec in
+  let codec = S.wire_codec in
   let meta = conform_meta ~rt:Rt_loop ~wl ~shards ~seed:0 ~clients ~count in
   let recorder, online, tap = conform_taps ~meta ~trace ~monitor in
   let loop =

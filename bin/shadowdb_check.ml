@@ -85,9 +85,9 @@ let conform file max_delivers =
       Fmt.epr "cannot load trace %s: %s@." file msg;
       64
   | Ok (meta, events) ->
-      let spec_exec = Conform.Replay.spec_exec_of_meta meta in
-      let replay = Conform.Replay.check ?spec_exec ~max_delivers events in
-      let monitors = Conform.Monitors.check ~meta events in
+      let replay, monitors =
+        Conform.Record.check_trace ~max_delivers ~meta events
+      in
       Fmt.pr "%a@." Conform.Replay.pp_report replay;
       Fmt.pr "%a@." Conform.Monitors.pp_report monitors;
       if Conform.Replay.ok replay && Conform.Monitors.ok monitors then 0 else 2

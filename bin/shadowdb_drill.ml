@@ -29,7 +29,7 @@
    CI can gate on it. *)
 
 open Cmdliner
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 
 module Json = Bytefmt.Json
 
@@ -77,7 +77,7 @@ let run clients count group_commit snapshot_every torn data_dir json_path
   let elapsed () = Unix.gettimeofday () -. t0 in
   let victim = 0 and survivor = 1 in
   List.iter (fun i -> wipe_node_dir (node_dir data_dir i)) [ 0; 1; 2 ];
-  let codec = Conform.Sys_wire.codec in
+  let codec = S.wire_codec in
   (* Always-on conformance recording: the drill's whole trace — including
      the crash/restart window — is saved next to the durable state and
      replayed through the LoE spec as one of the verdict's checks, while
@@ -224,10 +224,8 @@ let run clients count group_commit snapshot_every torn data_dir json_path
   Conform.Recorder.save recorder trace_path;
   let trace_events = Conform.Recorder.events recorder in
   let conform_replay, conform_monitors =
-    let meta = Conform.Recorder.meta recorder in
-    let spec_exec = Conform.Replay.spec_exec_of_meta meta in
-    ( Conform.Replay.check ?spec_exec trace_events,
-      Conform.Monitors.check ~meta trace_events )
+    Conform.Record.check_trace ~meta:(Conform.Recorder.meta recorder)
+      trace_events
   in
   let conform_ok =
     Conform.Replay.ok conform_replay && Conform.Monitors.ok conform_monitors

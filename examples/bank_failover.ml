@@ -13,7 +13,7 @@
 
 module Engine = Sim.Engine
 module Store = Storage.Store
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 
 let rows = 5_000
 

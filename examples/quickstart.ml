@@ -9,7 +9,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module Engine = Sim.Engine
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 module Value = Storage.Value
 
 let () =

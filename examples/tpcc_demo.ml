@@ -10,7 +10,7 @@
    Run with: dune exec examples/tpcc_demo.exe *)
 
 module Engine = Sim.Engine
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 module Tpcc = Workload.Tpcc
 
 let scale = Tpcc.small_scale

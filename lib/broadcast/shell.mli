@@ -19,7 +19,7 @@ type costs = {
 
 val default_costs : costs
 (** Calibration that reproduces Fig. 8 under {!Gpm.Engine_profile}:
-    [core_msg = 2.43 ms], [per_entry = 1.1 ms], [client_msg = 0.05 ms]. *)
+    [core_msg = 1.92 ms], [per_entry = 0.39 ms], [client_msg = 0.05 ms]. *)
 
 module Make (C : Consensus.Consensus_intf.S) : sig
   module T : module type of Tob.Make (C)

@@ -315,7 +315,7 @@ let tob_w4 = tob_scenario ~name:"tob-w4" ~window:4
 (* configuration).                                                        *)
 (* ---------------------------------------------------------------------- *)
 
-module Sdb = Shadowdb.System.Make (Consensus.Paxos)
+module Sdb = Shadowdb.System
 
 let bank_rows = 32
 
@@ -331,21 +331,30 @@ let make_deposit ~client ~seq =
   let account = abs (Hashtbl.hash (client, seq)) mod bank_rows in
   Workload.Bank.deposit ~account ~amount:1
 
-let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
-    ~executes nodes : Scenario.t =
+(* What a database scenario observes of the cluster [spawn] built. *)
+type db_cluster = {
+  target : Sdb.client_target;
+  replicas : int list;
+  cfg_of : int -> int;  (* configuration seqno, per replica view *)
+  gseq_of : int -> int;
+  hash_of : int -> int;
+  executes : int -> bool;  (* an SMR spare tracks seqnos only *)
+}
+
+let db_scenario ~name ~spawn nodes : Scenario.t =
   let n_clients = 2 and per_client = 3 in
-  let total = n_clients * per_client in
   let make ~seed ~sched =
     let world : Sdb.wire Engine.t = Engine.create ~seed () in
     Sched.install sched world;
     let rworld = Runtime.Of_sim.of_engine world in
-    let cluster = spawn rworld in
-    let replicas = replicas_of cluster in
+    let { target; replicas; cfg_of; gseq_of; hash_of; executes } =
+      spawn rworld
+    in
     let replica_arr = Array.of_list replicas in
     let commits = ref 0 in
     let _, completed =
-      Sdb.spawn_clients ~world:rworld ~target:(cluster : Sdb.client_target) ~n:n_clients
-        ~count:per_client ~make_txn:make_deposit ~retry_timeout:1.0
+      Sdb.spawn_clients ~world:rworld ~target ~n:n_clients ~count:per_client
+        ~make_txn:make_deposit ~retry_timeout:1.0
         ~on_commit:(fun _ _ -> incr commits)
         ()
     in
@@ -355,9 +364,9 @@ let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
     let current () =
       let alive = List.filter (Engine.is_alive world) replicas in
       let maxcfg =
-        List.fold_left (fun acc l -> max acc (cfg_of cluster l)) (-1) alive
+        List.fold_left (fun acc l -> max acc (cfg_of l)) (-1) alive
       in
-      List.filter (fun l -> cfg_of cluster l = maxcfg) alive
+      List.filter (fun l -> cfg_of l = maxcfg) alive
     in
     let agreement : unit Monitor.t =
       Monitor.finish_check ~name:(name ^ "-state-agreement") (fun () ->
@@ -367,9 +376,9 @@ let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
               match viol with
               | Some _ -> viol
               | None -> (
-                  if not (executes cluster l) then None
+                  if not (executes l) then None
                   else
-                    let g = gseq_of cluster l and h = hash_of cluster l in
+                    let g = gseq_of l and h = hash_of l in
                     match Hashtbl.find_opt tbl g with
                     | Some (l0, h0) when h0 <> h ->
                         Some
@@ -389,7 +398,7 @@ let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
           | [] -> None (* whole latest configuration down: nothing to say *)
           | cur ->
               let maxg =
-                List.fold_left (fun acc l -> max acc (gseq_of cluster l)) 0 cur
+                List.fold_left (fun acc l -> max acc (gseq_of l)) 0 cur
               in
               if maxg < !commits then
                 Some
@@ -406,14 +415,13 @@ let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
         done_at := Engine.now world;
       (not (Float.is_nan !done_at)) && Engine.now world > !done_at +. 2.0
     in
-    ignore total;
     let fingerprint () =
       let h =
         List.fold_left
           (fun h l ->
             Fingerprint.int
-              (Fingerprint.int h (gseq_of cluster l))
-              (hash_of cluster l))
+              (Fingerprint.int h (gseq_of l))
+              (hash_of l))
           (Fingerprint.int Fingerprint.empty !commits)
           replicas
       in
@@ -431,49 +439,38 @@ let db_scenario ~name ~spawn ~replicas_of ~cfg_of ~gseq_of ~hash_of
 let pbr : Scenario.t =
   db_scenario ~name:"pbr"
     ~spawn:(fun world ->
-      Sdb.To_pbr
-        (Sdb.spawn_pbr ~tun:fast_tun ~world ~registry:Workload.Bank.registry
-           ~setup:(Workload.Bank.setup ~rows:bank_rows)
-           ~n_active:2 ~n_spare:1 ()))
-    ~replicas_of:(function
-      | Sdb.To_pbr c -> c.Sdb.pbr_replicas
-      | Sdb.To_smr _ | Sdb.To_sharded _ -> [])
-    ~cfg_of:(function
-      | Sdb.To_pbr c -> c.Sdb.pbr_cfg_of
-      | Sdb.To_smr _ | Sdb.To_sharded _ -> fun _ -> -1)
-    ~gseq_of:(function
-      | Sdb.To_pbr c -> c.Sdb.pbr_gseq_of
-      | Sdb.To_smr _ | Sdb.To_sharded _ -> fun _ -> 0)
-    ~hash_of:(function
-      | Sdb.To_pbr c -> c.Sdb.pbr_hash_of
-      | Sdb.To_smr _ | Sdb.To_sharded _ -> fun _ -> 0)
-    ~executes:(fun _ _ -> true)
+      let c =
+        Sdb.spawn_pbr ~tun:fast_tun ~world ~registry:Workload.Bank.registry
+          ~setup:(Workload.Bank.setup ~rows:bank_rows)
+          ~n_active:2 ~n_spare:1 ()
+      in
+      {
+        target = Sdb.To_pbr c;
+        replicas = c.Sdb.pbr_replicas;
+        cfg_of = c.Sdb.pbr_cfg_of;
+        gseq_of = c.Sdb.pbr_gseq_of;
+        hash_of = c.Sdb.pbr_hash_of;
+        executes = (fun _ -> true);
+      })
     3
 
 let smr_scenario ~name ~window : Scenario.t =
   db_scenario ~name
     ~spawn:(fun world ->
-      Sdb.To_smr
-        (Sdb.spawn_smr ~tun:fast_tun ~tob_window:window ~world
-           ~registry:Workload.Bank.registry
-           ~setup:(Workload.Bank.setup ~rows:bank_rows)
-           ~n_active:2 ()))
-    ~replicas_of:(function
-      | Sdb.To_smr c -> c.Sdb.smr_nodes
-      | Sdb.To_pbr _ | Sdb.To_sharded _ -> [])
-    ~cfg_of:(function
-      | Sdb.To_smr c -> c.Sdb.smr_cfg_of
-      | Sdb.To_pbr _ | Sdb.To_sharded _ -> fun _ -> -1)
-    ~gseq_of:(function
-      | Sdb.To_smr c -> c.Sdb.smr_gseq_of
-      | Sdb.To_pbr _ | Sdb.To_sharded _ -> fun _ -> 0)
-    ~hash_of:(function
-      | Sdb.To_smr c -> c.Sdb.smr_hash_of
-      | Sdb.To_pbr _ | Sdb.To_sharded _ -> fun _ -> 0)
-    ~executes:(fun cluster l ->
-      match cluster with
-      | Sdb.To_smr c -> c.Sdb.smr_active_of l
-      | Sdb.To_pbr _ | Sdb.To_sharded _ -> false)
+      let c =
+        Sdb.spawn_smr ~tun:fast_tun ~tob_window:window ~world
+          ~registry:Workload.Bank.registry
+          ~setup:(Workload.Bank.setup ~rows:bank_rows)
+          ~n_active:2 ()
+      in
+      {
+        target = Sdb.To_smr c;
+        replicas = c.Sdb.smr_nodes;
+        cfg_of = c.Sdb.smr_cfg_of;
+        gseq_of = c.Sdb.smr_gseq_of;
+        hash_of = c.Sdb.smr_hash_of;
+        executes = c.Sdb.smr_active_of;
+      })
     3
 
 let smr = smr_scenario ~name:"smr" ~window:1

@@ -8,7 +8,7 @@
    to rebuild the shadow execution environment. *)
 
 module Engine = Sim.Engine
-module S = Sys_wire.S
+module S = Shadowdb.System
 
 type run = {
   recorder : Recorder.t;
@@ -30,7 +30,7 @@ let sim_bank ?(seed = 1) ?(clients = 3) ?(count = 40) ?(rows = 512) ?cap () =
   in
   let recorder = Recorder.create ?cap ~meta () in
   let world : S.wire Engine.t = Engine.create ~seed () in
-  let tap = Recorder.tap recorder ~enc:Sys_wire.codec.Runtime.enc in
+  let tap = Recorder.tap recorder ~enc:S.wire_codec.Runtime.enc in
   let rworld = Runtime.Of_sim.of_engine ~tap world in
   let cluster =
     S.spawn_smr ~world:rworld ~registry:Workload.Bank.registry
@@ -55,10 +55,11 @@ let sim_bank ?(seed = 1) ?(clients = 3) ?(count = 40) ?(rows = 512) ?cap () =
   Engine.run ~until:3600.0 ~max_events:100_000_000 world;
   { recorder; commits = !commits; completed = completed (); clients }
 
-(* Check a trace end to end: LoE replay plus the invariant monitors. *)
-let check_trace ~meta events =
+(* Check a trace end to end: LoE replay plus the invariant monitors.
+   [max_delivers] caps the spec leg per node ({!Replay.check}). *)
+let check_trace ?max_delivers ~meta events =
   let spec_exec = Replay.spec_exec_of_meta meta in
-  let replay = Replay.check ?spec_exec events in
+  let replay = Replay.check ?spec_exec ?max_delivers events in
   let monitors = Monitors.check ~meta events in
   (replay, monitors)
 

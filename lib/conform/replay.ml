@@ -257,8 +257,8 @@ let check_incarnation ~node ~spec ~max_delivers ~diverge ~count
             | None -> ())
       | Event.Send { bytes; _ } ->
           if !hash_mode then (
-            match Sys_wire.codec.Runtime.dec bytes with
-            | Ok (Sys_wire.S.Db (Shadowdb.Db_msg.Reply r)) -> (
+            match Shadowdb.System.wire_codec.Runtime.dec bytes with
+            | Ok (Shadowdb.System.Db (Shadowdb.Db_msg.Reply r)) -> (
                 match Hashtbl.find_opt expected (r.Txn.client, r.Txn.seq) with
                 | Some outcome ->
                     if outcome <> r.Txn.outcome then
@@ -330,8 +330,9 @@ let check ?spec_exec ?(max_delivers = default_max_delivers)
         | Event.Deliver _ -> incr n_delivers
         | Event.Checkpoint _ -> incr n_checkpoints
         | Event.Send { bytes; _ } -> (
-            match Sys_wire.codec.Runtime.dec bytes with
-            | Ok (Sys_wire.S.Db (Shadowdb.Db_msg.Reply _)) -> incr n_replies
+            match Shadowdb.System.wire_codec.Runtime.dec bytes with
+            | Ok (Shadowdb.System.Db (Shadowdb.Db_msg.Reply _)) ->
+                incr n_replies
             | Ok _ | Error _ -> ())
         | _ -> ()
       in

@@ -1,13 +1,6 @@
-(* The checker's own instantiation of the ShadowDB system.
+(* [Shadowdb.System] and its wire codec under the names the performance
+   harness uses; everything else refers to [Shadowdb.System] directly. *)
 
-   Trace bytes are the interface between recorder and checker: a trace
-   may have been recorded by any process holding any application of
-   [Shadowdb.System.Make], so the checker decodes with its own instance —
-   the wire format is identical by construction (both sides use the same
-   codec-v2 functions). *)
+module S = Shadowdb.System
 
-module S = Shadowdb.System.Make (Consensus.Paxos)
-
-let codec : S.wire Runtime.codec =
-  S.wire_codec ~enc_core:Shadowdb.Codec.encode_core_paxos
-    ~dec_core:Shadowdb.Codec.decode_core_paxos
+let codec = S.wire_codec

@@ -91,7 +91,7 @@ let lock_granularity ?(clients = 16) ?(count = 150) () =
    protocol the paper names as buildable on the TOB), and state machine
    replication through the broadcast service. *)
 let replication_styles ?(clients = 24) ?(count = 400) () =
-  let module S = Shadowdb.System.Make (Consensus.Paxos) in
+  let module S = Shadowdb.System in
   let rows = 10_000 in
   let run label target_of =
     let world : S.wire Sim.Engine.t = Engine.create ~seed:59 () in

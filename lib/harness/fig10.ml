@@ -2,7 +2,7 @@ module Engine = Sim.Engine
 module Store = Storage.Store
 module Database = Storage.Database
 module Value = Storage.Value
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 
 (* ---------------- (a) recovery timeline ---------------- *)
 

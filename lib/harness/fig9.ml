@@ -1,7 +1,7 @@
 module Engine = Sim.Engine
 module Store = Storage.Store
 module Value = Storage.Value
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 module B = Baselines.Server
 
 type system = Shadow_pbr | Shadow_smr | H2_standalone | H2_repl | Mysql_repl

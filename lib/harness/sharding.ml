@@ -1,5 +1,5 @@
 module Engine = Sim.Engine
-module Sdb = Shadowdb.System.Make (Consensus.Paxos)
+module Sdb = Shadowdb.System
 
 type point = {
   shards : int;

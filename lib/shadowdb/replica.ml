@@ -193,51 +193,49 @@ let install_chunk ctx n ~layer ~halt rows ~last =
   R.charge ctx (Database.take_cost n.db);
   if last then n.installing <- false
 
-module Make (C : Consensus.Consensus_intf.S) = struct
-  module Shell = Broadcast.Shell.Make (C)
-  module TM = Shell.T
+module Shell = Broadcast.Shell.Make (Consensus.Paxos)
+module TM = Shell.T
 
-  type wire = Svc of TM.msg | Note of Tob.deliver | Db of Db_msg.t
+type wire = Svc of TM.msg | Note of Tob.deliver | Db of Db_msg.t
 
-  let send_db ctx dst m = R.send ctx ~size:(Db_msg.size m) dst (Db m)
+let send_db ctx dst m = R.send ctx ~size:(Db_msg.size m) dst (Db m)
 
-  (* Wire format for the whole system: broadcast-service traffic, delivery
-     notifications and database replication messages share one socket per
-     link on the socket runtime. [enc_core]/[dec_core] serialize the
-     consensus core's protocol messages — for Paxos over TOB batches use
-     {!Codec.encode_core_paxos} / {!Codec.decode_core_paxos}. Every body
-     is decoded in place from byte 1, behind the one-byte tag. *)
-  let wire_codec ~enc_core
-      ~(dec_core : ?pos:int -> string -> (_, string) result) : wire R.codec =
-    let enc = function
-      | Svc (TM.Broadcast e) -> "B" ^ Codec.encode_entry e
-      | Svc (TM.Core m) -> "C" ^ enc_core m
-      | Note d -> "N" ^ Codec.encode_deliver d
-      | Db m -> "D" ^ Codec.encode_db_msg m
-    in
-    let dec s =
-      if s = "" then Error "empty wire message"
-      else
-        match s.[0] with
-        | 'B' -> (
-            match Codec.decode_entry ~pos:1 s with
-            | Ok (e, "") -> Ok (Svc (TM.Broadcast e))
-            | Ok _ -> Error "trailing bytes after entry"
-            | Error e -> Error e)
-        | 'C' -> Result.map (fun m -> Svc (TM.Core m)) (dec_core ~pos:1 s)
-        | 'N' -> Result.map (fun d -> Note d) (Codec.decode_deliver ~pos:1 s)
-        | 'D' -> Result.map (fun m -> Db m) (Codec.decode_db_msg ~pos:1 s)
-        | c -> Error (Printf.sprintf "bad wire tag %C" c)
-    in
-    { R.enc; dec }
+(* Wire format for the whole system: broadcast-service traffic, delivery
+   notifications and database replication messages share one socket per
+   link on the socket runtime. Every body is decoded in place from byte
+   1, behind the one-byte tag. *)
+let wire_codec : wire R.codec =
+  let enc = function
+    | Svc (TM.Broadcast e) -> "B" ^ Codec.encode_entry e
+    | Svc (TM.Core m) -> "C" ^ Codec.encode_core_paxos m
+    | Note d -> "N" ^ Codec.encode_deliver d
+    | Db m -> "D" ^ Codec.encode_db_msg m
+  in
+  let dec s =
+    if s = "" then Error "empty wire message"
+    else
+      match s.[0] with
+      | 'B' -> (
+          match Codec.decode_entry ~pos:1 s with
+          | Ok (e, "") -> Ok (Svc (TM.Broadcast e))
+          | Ok _ -> Error "trailing bytes after entry"
+          | Error e -> Error e)
+      | 'C' ->
+          Result.map
+            (fun m -> Svc (TM.Core m))
+            (Codec.decode_core_paxos ~pos:1 s)
+      | 'N' -> Result.map (fun d -> Note d) (Codec.decode_deliver ~pos:1 s)
+      | 'D' -> Result.map (fun m -> Db m) (Codec.decode_db_msg ~pos:1 s)
+      | c -> Error (Printf.sprintf "bad wire tag %C" c)
+  in
+  { R.enc; dec }
 
-  (* The "hb" timer: heartbeat the other members while [live], re-arm. *)
-  let heartbeat ctx n ~live =
-    if live then begin
-      let hb = Db_msg.Heartbeat { cfg = n.cfg.Config.seq } in
-      List.iter
-        (fun m -> if m <> n.self then send_db ctx m hb)
-        n.cfg.Config.members
-    end;
-    ignore (R.set_timer ctx n.tun.hb_interval "hb")
-end
+(* The "hb" timer: heartbeat the other members while [live], re-arm. *)
+let heartbeat ctx n ~live =
+  if live then begin
+    let hb = Db_msg.Heartbeat { cfg = n.cfg.Config.seq } in
+    List.iter
+      (fun m -> if m <> n.self then send_db ctx m hb)
+      n.cfg.Config.members
+  end;
+  ignore (R.set_timer ctx n.tun.hb_interval "hb")

@@ -21,7 +21,7 @@ val registry : unit -> Shadowdb.Txn.registry
     ["audit"] (ids… — one [|id; balance|] row per existing account). *)
 
 val deposit : account:int -> amount:int -> string * Storage.Value.t list
-(** Transaction descriptor for {!Shadowdb.System.Make.spawn_clients}. *)
+(** Transaction descriptor for {!Shadowdb.System.spawn_clients}. *)
 
 val balance : account:int -> string * Storage.Value.t list
 val transfer : src:int -> dst:int -> amount:int -> string * Storage.Value.t list

@@ -128,7 +128,7 @@ let hostile_txn =
 
 (* One socket message per wire tag: 'D', 'B', 'N' and 'C'. *)
 let wire_samples =
-  let module W = Conform.Sys_wire.S in
+  let module W = Shadowdb.System in
   let entry = { Broadcast.Tob.origin = 1; id = 2; payload = "p" } in
   [
     W.Db (Shadowdb.Db_msg.Client_txn hostile_txn);
@@ -138,7 +138,7 @@ let wire_samples =
   ]
 
 let test_wire_codec_in_place () =
-  let { Runtime.enc; dec } = Conform.Sys_wire.codec in
+  let { Runtime.enc; dec } = Shadowdb.System.wire_codec in
   List.iter
     (fun m ->
       let s = enc m in
@@ -151,7 +151,7 @@ let test_wire_codec_in_place () =
 
 let hostile_seeds =
   let txn = hostile_txn in
-  List.map Conform.Sys_wire.codec.Runtime.enc wire_samples
+  List.map Shadowdb.System.wire_codec.Runtime.enc wire_samples
   @ [
     TF.encode ~meta:sample_meta sample_events;
     Shadowdb.Codec.encode_db_msg (Shadowdb.Db_msg.Client_txn txn);
@@ -189,7 +189,7 @@ let prop_hostile_bytes =
       ignore (Shadowdb.Codec.decode_core_paxos s);
       ignore (Shadowdb.Codec.decode_payload s);
       ignore (Durable.Wal.scan s);
-      ignore (Conform.Sys_wire.codec.Runtime.dec s);
+      ignore (Shadowdb.System.wire_codec.Runtime.dec s);
       if s <> "" then begin
         ignore (Shadowdb.Codec.decode_entry ~pos:1 s);
         ignore (Shadowdb.Codec.decode_deliver ~pos:1 s);

@@ -15,7 +15,7 @@
 
 module R = Runtime
 module Engine = Sim.Engine
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 
 (* ------------------------------------------------------------------ *)
 (* A tiny protocol over int messages: a driver bounces a counter off an
@@ -192,13 +192,87 @@ let run_smr_bank loop ~label ~clients ~count =
   (!commits, hashes)
 
 let test_loop_smr_bank () =
-  let loop = R.Loop.create ~codec:Conform.Sys_wire.codec () in
+  let loop = R.Loop.create ~codec:S.wire_codec () in
   let clients = 4 and count = 30 in
   let commits, _ = run_smr_bank loop ~label:"loop" ~clients ~count in
   Alcotest.(check bool)
     (Printf.sprintf "at least 100 transactions committed (got %d)" commits)
     true
     (commits >= 100 && commits <= clients * count)
+
+(* PBR and chain replication over loopback sockets: every Forward, Ack
+   and Heartbeat goes through [S.wire_codec] on a real socket, with the
+   online per-link FIFO monitor on the tap (a chain has no Acks: the
+   tail answers the client). The heartbeat period is short enough that
+   heartbeats flow during the run. *)
+let test_loop_pbr_socket ~style ~read_kinds () =
+  let rows = 1_000 and clients = 3 and count = 30 in
+  let online = Conform.Online.create () in
+  let forwards = Atomic.make 0
+  and acks = Atomic.make 0
+  and heartbeats = Atomic.make 0 in
+  let count_db ~self:_ ~now:_ = function
+    | R.Ob_send { msg = S.Db m; _ } -> (
+        match m with
+        | Shadowdb.Db_msg.Forward _ -> Atomic.incr forwards
+        | Shadowdb.Db_msg.Ack _ -> Atomic.incr acks
+        | Shadowdb.Db_msg.Heartbeat _ -> Atomic.incr heartbeats
+        | _ -> ())
+    | _ -> ()
+  in
+  let loop =
+    R.Loop.create ~direct:false
+      ~tap:(R.tap_all [ Conform.Online.tap online; count_db ])
+      ~codec:S.wire_codec ()
+  in
+  let world = R.Loop.runtime loop in
+  let n_active = match style with S.Primary_backup -> 2 | S.Chain -> 3 in
+  let cluster =
+    S.spawn_pbr ~style ~read_kinds
+      ~tun:{ S.default_tuning with hb_interval = 0.01 }
+      ~world ~registry:Workload.Bank.registry
+      ~setup:(fun db -> Workload.Bank.setup ~rows db)
+      ~n_active ~n_spare:1 ()
+  in
+  let make_txn ~client ~seq =
+    let account = abs (Hashtbl.hash (client, seq)) mod rows in
+    if seq mod 4 = 3 then Workload.Bank.balance ~account
+    else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
+  in
+  let _, completed =
+    S.spawn_clients ~world ~target:(S.To_pbr cluster) ~n:clients ~count
+      ~make_txn ~retry_timeout:2.0 ()
+  in
+  R.Loop.start loop;
+  let finished =
+    R.Loop.await ~timeout:120.0 loop (fun () ->
+        completed () >= clients && Atomic.get heartbeats > 0)
+  in
+  R.Loop.stop loop;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
+  Alcotest.(check bool) "all clients finished" true finished;
+  Alcotest.(check int) "clients completed" clients (completed ());
+  let sent =
+    [ ("Forward", forwards); ("Heartbeat", heartbeats) ]
+    @ match style with S.Primary_backup -> [ ("Ack", acks) ] | S.Chain -> []
+  in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check bool) (name ^ " sent over the socket") true
+        (Atomic.get n > 0))
+    sent;
+  let executed =
+    List.filter (fun l -> cluster.S.pbr_gseq_of l > 0) cluster.S.pbr_replicas
+  in
+  Alcotest.(check bool) "a replica executed" true (executed <> []);
+  (match List.map cluster.S.pbr_hash_of executed with
+  | h :: t ->
+      Alcotest.(check bool) "state agreement" true (List.for_all (( = ) h) t)
+  | [] -> ());
+  Alcotest.(check int)
+    (Conform.Online.summary online)
+    0
+    (Conform.Online.violations online)
 
 (* ------------------------------------------------------------------ *)
 (* Loop runtime: crash/restart, outbox saturation.                     *)
@@ -492,11 +566,11 @@ let test_recorded_differential () =
     let tap =
       R.tap_all
         [
-          Conform.Recorder.tap r ~enc:Conform.Sys_wire.codec.R.enc;
+          Conform.Recorder.tap r ~enc:S.wire_codec.R.enc;
           Conform.Online.tap online;
         ]
     in
-    let loop = R.Loop.create ~direct ~tap ~codec:Conform.Sys_wire.codec () in
+    let loop = R.Loop.create ~direct ~tap ~codec:S.wire_codec () in
     let _ = run_smr_bank loop ~label:("differential/" ^ name) ~clients ~count in
     let events = Conform.Recorder.events r in
     Alcotest.(check bool)
@@ -539,6 +613,10 @@ let () =
             test_proc_pingpong_loop;
           Alcotest.test_case "3-node SMR bank cluster, 120 txns" `Slow
             test_loop_smr_bank;
+          Alcotest.test_case "PBR over loopback sockets" `Quick
+            (test_loop_pbr_socket ~style:S.Primary_backup ~read_kinds:[]);
+          Alcotest.test_case "chain over loopback sockets" `Quick
+            (test_loop_pbr_socket ~style:S.Chain ~read_kinds:[ "balance" ]);
           Alcotest.test_case "crash/restart under the event loop" `Quick
             (test_loop_crash_restart ~direct:true);
           Alcotest.test_case "crash/restart over loopback sockets" `Quick

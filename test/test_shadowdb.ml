@@ -5,7 +5,7 @@
 
 module Engine = Sim.Engine
 module Store = Storage.Store
-module S = Shadowdb.System.Make (Consensus.Paxos)
+module S = Shadowdb.System
 module Txn = Shadowdb.Txn
 module Value = Storage.Value
 

@@ -11,7 +11,7 @@ module Shard = Shadowdb.Shard
 module Codec = Shadowdb.Codec
 module Bank = Workload.Bank
 module Zipf = Workload.Zipf
-module Sdb = Shadowdb.System.Make (Consensus.Paxos)
+module Sdb = Shadowdb.System
 
 (* ---- partition function / router ---------------------------------- *)
 
