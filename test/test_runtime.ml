@@ -123,6 +123,13 @@ let test_proc_pingpong_loop () =
    executing replicas, wall-clock p50/p99.                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The bank mix every loop cluster test drives: one balance read in
+   four, deposits otherwise, deterministic per (client, seq). *)
+let bank_mix ~rows ~client ~seq =
+  let account = abs (Hashtbl.hash (client, seq)) mod rows in
+  if seq mod 4 = 3 then Workload.Bank.balance ~account
+  else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
+
 (* Run the bank workload on [loop] and return (commits, per-replica
    content hashes of the executing replicas). Asserts completion, no
    runtime errors, and replica state agreement. *)
@@ -145,14 +152,9 @@ let run_smr_bank loop ~label ~clients ~count =
   let mu = Mutex.create () in
   let commits = ref 0 in
   let latencies = Stats.Sample.create () in
-  let make_txn ~client ~seq =
-    let account = abs (Hashtbl.hash (client, seq)) mod rows in
-    if seq mod 4 = 3 then Workload.Bank.balance ~account
-    else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
-  in
   let _, completed =
     S.spawn_clients ~world ~target:(S.To_smr cluster) ~n:clients ~count
-      ~make_txn ~retry_timeout:2.0
+      ~make_txn:(bank_mix ~rows) ~retry_timeout:2.0
       ~on_commit:(fun _now l ->
         Mutex.protect mu (fun () ->
             incr commits;
@@ -234,14 +236,9 @@ let test_loop_pbr_socket ~style ~read_kinds () =
       ~setup:(fun db -> Workload.Bank.setup ~rows db)
       ~n_active ~n_spare:1 ()
   in
-  let make_txn ~client ~seq =
-    let account = abs (Hashtbl.hash (client, seq)) mod rows in
-    if seq mod 4 = 3 then Workload.Bank.balance ~account
-    else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
-  in
   let _, completed =
     S.spawn_clients ~world ~target:(S.To_pbr cluster) ~n:clients ~count
-      ~make_txn ~retry_timeout:2.0 ()
+      ~make_txn:(bank_mix ~rows) ~retry_timeout:2.0 ()
   in
   R.Loop.start loop;
   let finished =
