@@ -51,27 +51,33 @@ let workload_parts = function
             ~h_id:((client * 1_000_000) + seq)),
         [ "order_status"; "stock_level" ] )
 
-(* What [spawn_cluster] hands back to the runners: enough to drive
-   clients, report liveness, and judge replica agreement (per shard for
-   a sharded deployment — replicas of different shards legitimately hold
-   different states). *)
+(* What [spawn_cluster] hands back to the runners: how to describe the
+   deployment, the client target (which is also its cluster view,
+   {!S.groups}), and extra report lines. *)
 type deployed = {
   describe : string;
   target : S.client_target;
-  replicas : int list;
-  gseq_of : int -> int;
-  hash_of : int -> int;
-  agreement : int list -> bool;  (* over the still-alive replicas *)
-  extra : unit -> (string * string) list;  (* extra report lines *)
+  extra : unit -> (string * string) list;
 }
 
-let flat_agreement ~gseq_of ~hash_of alive =
-  let hashes =
-    List.filter_map
-      (fun l -> if gseq_of l > 0 then Some (hash_of l) else None)
-      alive
-  in
-  match hashes with h :: t -> List.for_all (( = ) h) t | [] -> true
+(* Every replica with its group, in spawn order. *)
+let replicas d =
+  List.concat_map (fun g -> List.map (fun l -> (l, g)) g.S.members)
+    (S.groups d.target)
+
+(* End-of-run agreement: no two replicas of a group that executed the
+   same prefix differ ({!S.disagreement}), and a group's executing
+   replicas that executed anything reached one configuration and count. *)
+let agreement d ~alive =
+  S.disagreement d.target ~alive = None
+  && List.for_all
+       (fun g ->
+         List.filter
+           (fun l -> alive l && g.S.executes l && g.S.gseq_of l > 0)
+           g.S.members
+         |> List.map (fun l -> (g.S.cfg_of l, g.S.gseq_of l))
+         |> List.sort_uniq compare |> List.length <= 1)
+       (S.groups d.target)
 
 let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
   match mode with
@@ -87,16 +93,7 @@ let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
         S.spawn_pbr ~style ~read_kinds ~backends ~tob_window:window ~world
           ~registry ~setup ~n_active ~n_spare:1 ()
       in
-      {
-        describe;
-        target = S.To_pbr c;
-        replicas = c.S.pbr_replicas;
-        gseq_of = c.S.pbr_gseq_of;
-        hash_of = c.S.pbr_hash_of;
-        agreement =
-          flat_agreement ~gseq_of:c.S.pbr_gseq_of ~hash_of:c.S.pbr_hash_of;
-        extra = (fun () -> []);
-      }
+      { describe; target = S.To_pbr c; extra = (fun () -> []) }
   | Smr ->
       let c =
         S.spawn_smr ~backends ~tob_window:window ~world ~registry ~setup
@@ -105,15 +102,6 @@ let spawn_cluster mode ~window ~read_kinds ~backends ~world ~registry ~setup =
       {
         describe = "state machine replication (2 of 3)";
         target = S.To_smr c;
-        replicas = c.S.smr_nodes;
-        gseq_of = c.S.smr_gseq_of;
-        hash_of = c.S.smr_hash_of;
-        (* The inactive spare tracks sequence numbers without executing,
-           so agreement is over the active replicas. *)
-        agreement =
-          (fun alive ->
-            flat_agreement ~gseq_of:c.S.smr_gseq_of ~hash_of:c.S.smr_hash_of
-              (List.filter c.S.smr_active_of alive));
         extra = (fun () -> []);
       }
 
@@ -133,27 +121,10 @@ let spawn_sharded_cluster ~shards ~window ~backends ~world =
         Workload.Bank.setup_shard ~rows:shard_rows ~shards s db)
       ~router ()
   in
-  let group_of l =
-    Array.to_list c.S.sh_groups
-    |> List.find (fun g -> List.mem l g.S.smr_nodes)
-  in
-  let gseq_of l = (group_of l).S.smr_gseq_of l in
-  let hash_of l = (group_of l).S.smr_hash_of l in
-  let agreement alive =
-    Array.for_all
-      (fun g ->
-        let mine = List.filter (fun l -> List.mem l g.S.smr_nodes) alive in
-        flat_agreement ~gseq_of:g.S.smr_gseq_of ~hash_of:g.S.smr_hash_of mine)
-      c.S.sh_groups
-  in
   {
     describe =
       Printf.sprintf "%d shards x 3 SMR replicas + 2PC coordinator" shards;
     target = S.To_sharded c;
-    replicas = List.filter (fun l -> l <> c.S.sh_coord) c.S.sh_nodes;
-    gseq_of;
-    hash_of;
-    agreement;
     extra =
       (fun () ->
         [
@@ -217,10 +188,13 @@ let conform_taps ~meta ~trace ~monitor =
   let tap = match taps with [] -> None | l -> Some (Runtime.tap_all l) in
   (recorder, online, tap)
 
-(* Returns true when the online monitor saw a violation. *)
-let conform_finish ~trace recorder online =
+(* Saves the trace, with the deployment's replica groups in its meta
+   when there is more than one. Returns true when the online monitor saw
+   a violation. *)
+let conform_finish ~trace ~d recorder online =
   (match (trace, recorder) with
   | Some path, Some r ->
+      Conform.Recorder.add_meta r (Conform.Monitors.groups_meta d.target);
       Conform.Recorder.save r path;
       Printf.printf "trace      : %d events to %s%s\n"
         (Conform.Recorder.recorded r)
@@ -253,11 +227,13 @@ let report ~clients ~completed ~commits ~elapsed ~latencies ~alive ~d
     (Stats.Sample.mean latencies *. 1e3)
     (Stats.Sample.percentile latencies 50.0 *. 1e3)
     (Stats.Sample.percentile latencies 99.0 *. 1e3);
+  let live = List.filter (fun (l, _) -> alive l) (replicas d) in
   Printf.printf "replicas   : %s executed %s txns\n"
-    (String.concat "," (List.map string_of_int alive))
-    (String.concat "/" (List.map (fun l -> string_of_int (d.gseq_of l)) alive));
+    (String.concat "," (List.map (fun (l, _) -> string_of_int l) live))
+    (String.concat "/"
+       (List.map (fun (l, g) -> string_of_int (g.S.gseq_of l)) live));
   List.iter (fun (k, v) -> Printf.printf "%-11s: %s\n" k v) (d.extra ());
-  Printf.printf "agreement  : %b\n" (d.agreement alive)
+  Printf.printf "agreement  : %b\n" (agreement d ~alive)
 
 let deploy mode wl shards ~window ~diverse ~world =
   let backends = backends_of diverse in
@@ -293,8 +269,8 @@ let run_sim mode wl shards clients count crash_at seed diverse window trace
         Stats.Sample.add latencies l)
       ()
   in
-  (match (crash_at, d.replicas) with
-  | Some t, victim :: _ ->
+  (match (crash_at, replicas d) with
+  | Some t, (victim, _) :: _ ->
       Engine.at world t (fun () ->
           Printf.printf "t=%-8.2f crashing node %d\n" t victim;
           Engine.crash world victim)
@@ -303,10 +279,9 @@ let run_sim mode wl shards clients count crash_at seed diverse window trace
     (if diverse then ", diverse backends (hazel/hickory/dogwood)" else "");
   Printf.printf "workload   : %d clients x %d txns\n%!" clients count;
   Engine.run ~until:3600.0 ~max_events:500_000_000 world;
-  let alive = List.filter (Engine.is_alive world) d.replicas in
   report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed:!last
-    ~latencies ~alive ~d ~unit_label:"virtual";
-  let violated = conform_finish ~trace recorder online in
+    ~latencies ~alive:(Engine.is_alive world) ~d ~unit_label:"virtual";
+  let violated = conform_finish ~trace ~d recorder online in
   if completed () <> clients || violated then exit 1
 
 (* A real cluster on the local machine: messages are framed Codec bytes
@@ -347,10 +322,10 @@ let run_socket mode wl shards clients count crash_at diverse window trace
     d.describe
     (if diverse then ", diverse backends (hazel/hickory/dogwood)" else "");
   List.iter
-    (fun l ->
+    (fun (l, _) ->
       Printf.printf "node       : replica %d on 127.0.0.1:%d\n" l
         (Option.value ~default:0 (Runtime.Loop.port_of loop l)))
-    d.replicas;
+    (replicas d);
   Printf.printf "workload   : %d clients x %d txns\n%!" clients count;
   let t0 = Unix.gettimeofday () in
   Runtime.Loop.start loop;
@@ -363,10 +338,10 @@ let run_socket mode wl shards clients count crash_at diverse window trace
     (fun e -> Printf.eprintf "loop runtime error: %s\n%!" e)
     (Runtime.Loop.errors loop);
   report ~clients ~completed:(completed ()) ~commits:!commits ~elapsed
-    ~latencies ~alive:d.replicas ~d ~unit_label:"wall-clock";
+    ~latencies ~alive:(fun _ -> true) ~d ~unit_label:"wall-clock";
   Printf.printf "backpressure: %d outbox engagements\n"
     (Runtime.Loop.stats loop).Runtime.Loop.s_backpressure;
-  let violated = conform_finish ~trace recorder online in
+  let violated = conform_finish ~trace ~d recorder online in
   if not finished || violated then exit 1
 
 let run_cluster runtime mode wl shards clients count crash_at seed diverse

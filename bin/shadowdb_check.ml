@@ -200,7 +200,7 @@ let explore_term =
       value & opt string ""
       & info [ "faults" ] ~docv:"PLAN"
           ~doc:
-            "Fault plan, e.g. 'crash:0\\@3,part:0:1\\@2,heal:0:1\\@6' \
+            "Fault plan, e.g. 'crash:0@3,part:0:1@2,heal:0:1@6' \
              (node indices are scenario-relative; depths count scheduling \
              decisions).")
   in

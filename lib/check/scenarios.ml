@@ -331,15 +331,18 @@ let make_deposit ~client ~seq =
   let account = abs (Hashtbl.hash (client, seq)) mod bank_rows in
   Workload.Bank.deposit ~account ~amount:1
 
-(* What a database scenario observes of the cluster [spawn] built. *)
-type db_cluster = {
-  target : Sdb.client_target;
-  replicas : int list;
-  cfg_of : int -> int;  (* configuration seqno, per replica view *)
-  gseq_of : int -> int;
-  hash_of : int -> int;
-  executes : int -> bool;  (* an SMR spare tracks seqnos only *)
-}
+(* The database part of a scenario's state fingerprint: the committed
+   count, then every replica's executed count and content hash in view
+   order. *)
+let replicas_fingerprint target ~commits =
+  List.fold_left
+    (fun h g ->
+      List.fold_left
+        (fun h l ->
+          Fingerprint.int (Fingerprint.int h (g.Sdb.gseq_of l)) (g.Sdb.hash_of l))
+        h g.Sdb.members)
+    (Fingerprint.int Fingerprint.empty commits)
+    (Sdb.groups target)
 
 let db_scenario ~name ~spawn nodes : Scenario.t =
   let n_clients = 2 and per_client = 3 in
@@ -347,10 +350,13 @@ let db_scenario ~name ~spawn nodes : Scenario.t =
     let world : Sdb.wire Engine.t = Engine.create ~seed () in
     Sched.install sched world;
     let rworld = Runtime.Of_sim.of_engine world in
-    let { target; replicas; cfg_of; gseq_of; hash_of; executes } =
-      spawn rworld
+    let target = spawn rworld in
+    let g =
+      match Sdb.groups target with
+      | [ g ] -> g
+      | _ -> Sim.Invariant.fail "scenario" "%s: not a single-group cluster" name
     in
-    let replica_arr = Array.of_list replicas in
+    let replica_arr = Array.of_list g.Sdb.members in
     let commits = ref 0 in
     let _, completed =
       Sdb.spawn_clients ~world:rworld ~target ~n:n_clients ~count:per_client
@@ -358,47 +364,17 @@ let db_scenario ~name ~spawn nodes : Scenario.t =
         ~on_commit:(fun _ _ -> incr commits)
         ()
     in
-    (* Replicas eligible for end-state checks: alive and at the highest
-       configuration seqno any live replica reached (a deposed primary or
-       an unsynced spare legitimately lags). *)
-    let current () =
-      let alive = List.filter (Engine.is_alive world) replicas in
-      let maxcfg =
-        List.fold_left (fun acc l -> max acc (cfg_of l)) (-1) alive
-      in
-      List.filter (fun l -> cfg_of l = maxcfg) alive
-    in
     let agreement : unit Monitor.t =
       Monitor.finish_check ~name:(name ^ "-state-agreement") (fun () ->
-          let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-          List.fold_left
-            (fun viol l ->
-              match viol with
-              | Some _ -> viol
-              | None -> (
-                  if not (executes l) then None
-                  else
-                    let g = gseq_of l and h = hash_of l in
-                    match Hashtbl.find_opt tbl g with
-                    | Some (l0, h0) when h0 <> h ->
-                        Some
-                          (Printf.sprintf
-                             "replicas %d and %d executed %d transactions \
-                              but their databases differ"
-                             l0 l g)
-                    | Some _ -> None
-                    | None ->
-                        Hashtbl.replace tbl g (l, h);
-                        None))
-            None (current ()))
+          Sdb.disagreement target ~alive:(Engine.is_alive world))
     in
     let durability : unit Monitor.t =
       Monitor.finish_check ~name:(name ^ "-durability") (fun () ->
-          match current () with
+          match Sdb.current g ~alive:(Engine.is_alive world) with
           | [] -> None (* whole latest configuration down: nothing to say *)
           | cur ->
               let maxg =
-                List.fold_left (fun acc l -> max acc (gseq_of l)) 0 cur
+                List.fold_left (fun acc l -> max acc (g.Sdb.gseq_of l)) 0 cur
               in
               if maxg < !commits then
                 Some
@@ -416,16 +392,9 @@ let db_scenario ~name ~spawn nodes : Scenario.t =
       (not (Float.is_nan !done_at)) && Engine.now world > !done_at +. 2.0
     in
     let fingerprint () =
-      let h =
-        List.fold_left
-          (fun h l ->
-            Fingerprint.int
-              (Fingerprint.int h (gseq_of l))
-              (hash_of l))
-          (Fingerprint.int Fingerprint.empty !commits)
-          replicas
-      in
-      Fingerprint.int h (Engine.in_flight_fingerprint world)
+      Fingerprint.int
+        (replicas_fingerprint target ~commits:!commits)
+        (Engine.in_flight_fingerprint world)
     in
     running ~world ~sched
       ~step:(bounded_step world ~horizon:20.0 ~max_events:300_000 ~done_)
@@ -444,14 +413,7 @@ let pbr : Scenario.t =
           ~setup:(Workload.Bank.setup ~rows:bank_rows)
           ~n_active:2 ~n_spare:1 ()
       in
-      {
-        target = Sdb.To_pbr c;
-        replicas = c.Sdb.pbr_replicas;
-        cfg_of = c.Sdb.pbr_cfg_of;
-        gseq_of = c.Sdb.pbr_gseq_of;
-        hash_of = c.Sdb.pbr_hash_of;
-        executes = (fun _ -> true);
-      })
+      Sdb.To_pbr c)
     3
 
 let smr_scenario ~name ~window : Scenario.t =
@@ -463,14 +425,7 @@ let smr_scenario ~name ~window : Scenario.t =
           ~setup:(Workload.Bank.setup ~rows:bank_rows)
           ~n_active:2 ()
       in
-      {
-        target = Sdb.To_smr c;
-        replicas = c.Sdb.smr_nodes;
-        cfg_of = c.Sdb.smr_cfg_of;
-        gseq_of = c.Sdb.smr_gseq_of;
-        hash_of = c.Sdb.smr_hash_of;
-        executes = c.Sdb.smr_active_of;
-      })
+      Sdb.To_smr c)
     3
 
 let smr = smr_scenario ~name:"smr" ~window:1
@@ -524,8 +479,7 @@ let durable_scenario ~name ~(policy : Durable.Manager.policy) : Scenario.t =
         ~setup:(Workload.Bank.setup ~rows:bank_rows)
         ~n_active:2 ()
     in
-    let replicas = cluster.Sdb.smr_nodes in
-    let replica_arr = Array.of_list replicas in
+    let replica_arr = Array.of_list cluster.Sdb.smr_nodes in
     let commits = ref 0 in
     let _, completed =
       Sdb.spawn_clients ~world:rworld ~target:(Sdb.To_smr cluster)
@@ -631,22 +585,14 @@ let durable_scenario ~name ~(policy : Durable.Manager.policy) : Scenario.t =
     in
     let fingerprint () =
       let h =
-        List.fold_left
-          (fun h l ->
-            Fingerprint.int
-              (Fingerprint.int h (cluster.Sdb.smr_gseq_of l))
-              (cluster.Sdb.smr_hash_of l))
-          (Fingerprint.int Fingerprint.empty !commits)
-          replicas
-      in
-      let h =
         Array.fold_left
           (fun h m ->
             Fingerprint.int h
               (Hashtbl.hash
                  ( Durable.Backend.mem_durable_log m,
                    Durable.Backend.mem_durable_snap m )))
-          h mems
+          (replicas_fingerprint (Sdb.To_smr cluster) ~commits:!commits)
+          mems
       in
       Fingerprint.int h (Engine.in_flight_fingerprint world)
     in
@@ -827,34 +773,8 @@ let sharded_scenario ~name ~coord_journal : Scenario.t =
     in
     let agreement : Monitor.xshard_obs Monitor.t =
       Monitor.finish_check ~name:(name ^ "-state-agreement") (fun () ->
-          Array.fold_left
-            (fun viol (g : Sdb.smr_cluster) ->
-              match viol with
-              | Some _ -> viol
-              | None ->
-                  let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-                  List.fold_left
-                    (fun viol l ->
-                      match viol with
-                      | Some _ -> viol
-                      | None -> (
-                          if not (Engine.is_alive world l) then None
-                          else
-                            let gq = g.Sdb.smr_gseq_of l in
-                            let h = g.Sdb.smr_hash_of l in
-                            match Hashtbl.find_opt tbl gq with
-                            | Some (l0, h0) when h0 <> h ->
-                                Some
-                                  (Printf.sprintf
-                                     "shard replicas %d and %d delivered %d \
-                                      entries but their databases differ"
-                                     l0 l gq)
-                            | Some _ -> None
-                            | None ->
-                                Hashtbl.replace tbl gq (l, h);
-                                None))
-                    None g.Sdb.smr_nodes)
-            None cluster.Sdb.sh_groups)
+          Sdb.disagreement (Sdb.To_sharded cluster)
+            ~alive:(Engine.is_alive world))
     in
     let conservation : Monitor.xshard_obs Monitor.t =
       Monitor.finish_check ~name:(name ^ "-conservation") (fun () ->
@@ -935,16 +855,7 @@ let sharded_scenario ~name ~coord_journal : Scenario.t =
     in
     let fingerprint () =
       let h =
-        Array.fold_left
-          (fun h (g : Sdb.smr_cluster) ->
-            List.fold_left
-              (fun h l ->
-                Fingerprint.int
-                  (Fingerprint.int h (g.Sdb.smr_gseq_of l))
-                  (g.Sdb.smr_hash_of l))
-              h g.Sdb.smr_nodes)
-          (Fingerprint.int Fingerprint.empty !commits)
-          cluster.Sdb.sh_groups
+        replicas_fingerprint (Sdb.To_sharded cluster) ~commits:!commits
       in
       let h = Fingerprint.int h (cluster.Sdb.sh_committed ()) in
       let h = Fingerprint.int h (cluster.Sdb.sh_aborted ()) in

@@ -7,8 +7,8 @@
      off in order at the matching [Recv] dispatch — the channel
      assumption every protocol here makes, verified end-to-end through
      whatever transport the runtime uses;
-   - fingerprint agreement: every sampled state checkpoint at total-order
-     position s must carry the hash every other replica reported there.
+   - fingerprint agreement: {!Monitors.checkpoint}'s table, fed live and
+     keyed on the checkpoint's (group, seqno) — the group is the shard.
 
    Digests are [Hashtbl.hash] of the decoded message — collisions can
    mask a violation, never invent one. Messages to a crashed node are
@@ -21,7 +21,7 @@
 type t = {
   mu : Mutex.t;
   links : (int * int, int Queue.t) Hashtbl.t;  (* (src, dst) -> digests *)
-  hashes : (int, int * int) Hashtbl.t;  (* seqno -> (node, hash) *)
+  agree : Monitors.agreement;
   mutable checked : int;
   mutable fifo_violations : int;
   mutable agreement_violations : int;
@@ -34,7 +34,7 @@ let create () =
   {
     mu = Mutex.create ();
     links = Hashtbl.create 64;
-    hashes = Hashtbl.create 1024;
+    agree = Monitors.agreement ();
     checked = 0;
     fifo_violations = 0;
     agreement_violations = 0;
@@ -72,20 +72,14 @@ let tap (t : t) : 'm Runtime.tap =
             note t
               (Printf.sprintf "per-link FIFO violation on %d->%d" src self)
           end)
-  | Runtime.Ob_checkpoint { seqno; hash; _ } ->
+  | Runtime.Ob_checkpoint { group; seqno; hash; _ } ->
       Mutex.protect t.mu (fun () ->
           t.checked <- t.checked + 1;
-          match Hashtbl.find_opt t.hashes seqno with
-          | None -> Hashtbl.replace t.hashes seqno (self, hash)
-          | Some (n0, h0) ->
-              if h0 <> hash then begin
-                t.agreement_violations <- t.agreement_violations + 1;
-                note t
-                  (Printf.sprintf
-                     "fingerprint disagreement at seqno %d: node %d has %x, \
-                      node %d had %x"
-                     seqno self hash n0 h0)
-              end)
+          match Monitors.checkpoint t.agree ~group ~node:self ~seqno ~hash with
+          | None -> ()
+          | Some msg ->
+              t.agreement_violations <- t.agreement_violations + 1;
+              note t msg)
   | Runtime.Ob_crash | Runtime.Ob_restart ->
       Mutex.protect t.mu (fun () ->
           Hashtbl.iter (fun (_, d) q -> if d = self then Queue.clear q) t.links)

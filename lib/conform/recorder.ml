@@ -60,7 +60,7 @@ let tap (t : t) ~(enc : 'm -> string) : 'm Runtime.tap =
     | Runtime.Ob_send { dst; msg } -> Event.Send { dst; bytes = enc msg }
     | Runtime.Ob_deliver { seqno; origin; id; payload } ->
         Event.Deliver { seqno; origin; id; payload }
-    | Runtime.Ob_checkpoint { gseq; seqno; hash } ->
+    | Runtime.Ob_checkpoint { gseq; seqno; hash; _ } ->
         Event.Checkpoint { gseq; seqno; hash }
     | Runtime.Ob_crash -> Event.Crash
     | Runtime.Ob_restart -> Event.Restart

@@ -19,8 +19,10 @@ type 'm obs =
   | Ob_send of { dst : Sim.Node_id.t; msg : 'm }  (** The node sent. *)
   | Ob_deliver of { seqno : int; origin : int; id : int; payload : string }
       (** A totally-ordered entry reached the replicated state machine. *)
-  | Ob_checkpoint of { gseq : int; seqno : int; hash : int }
-      (** State fingerprint right after applying delivery [seqno]. *)
+  | Ob_checkpoint of { group : int; gseq : int; seqno : int; hash : int }
+      (** State fingerprint right after applying delivery [seqno] of
+          replica group [group]'s total order (the shard index; 0 when
+          unsharded). *)
   | Ob_crash
   | Ob_restart
 (** One observable step of a node's execution. Inputs, sends, crashes and

@@ -318,6 +318,8 @@ let smr_apply ctx r (d : Tob.deliver) ~snapshot exec =
     R.observe ctx
       (R.Ob_checkpoint
          {
+           group =
+             (match r.sx2pc with Some x -> x.xcfg.xc_shard | None -> 0);
            gseq = r.n.gseq;
            seqno = d.Tob.seqno;
            hash = Database.content_hash r.n.db;

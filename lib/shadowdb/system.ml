@@ -21,6 +21,69 @@ type client_target =
   | To_smr of smr_cluster
   | To_sharded of sharded_cluster
 
+type group = {
+  members : loc list;
+  executes : loc -> bool;  (* an SMR spare tracks seqnos only *)
+  cfg_of : loc -> int;
+  gseq_of : loc -> int;
+  hash_of : loc -> int;
+}
+
+let smr_group c =
+  {
+    members = c.smr_nodes;
+    executes = c.smr_active_of;
+    cfg_of = c.smr_cfg_of;
+    gseq_of = c.smr_gseq_of;
+    hash_of = c.smr_hash_of;
+  }
+
+let groups = function
+  | To_pbr c ->
+      [
+        {
+          members = c.pbr_replicas;
+          executes = (fun _ -> true);
+          cfg_of = c.pbr_cfg_of;
+          gseq_of = c.pbr_gseq_of;
+          hash_of = c.pbr_hash_of;
+        };
+      ]
+  | To_smr c -> [ smr_group c ]
+  | To_sharded sc -> Array.to_list (Array.map smr_group sc.sh_groups)
+
+(* A deposed primary or an unsynced spare legitimately lags. *)
+let current grp ~alive =
+  let alive = List.filter alive grp.members in
+  let maxcfg = List.fold_left (fun m l -> max m (grp.cfg_of l)) (-1) alive in
+  List.filter (fun l -> grp.cfg_of l = maxcfg) alive
+
+let disagreement target ~alive =
+  let who, did, what =
+    match target with
+    | To_sharded _ -> ("shard replicas", "delivered", "entries")
+    | To_pbr _ | To_smr _ -> ("replicas", "executed", "transactions")
+  in
+  let check grp =
+    let seen = Hashtbl.create 8 in
+    List.find_map
+      (fun l ->
+        if not (grp.executes l) then None
+        else
+          let g = grp.gseq_of l and h = grp.hash_of l in
+          match Hashtbl.find_opt seen g with
+          | Some (l0, h0) when h0 <> h ->
+              Some
+                (Printf.sprintf "%s %d and %d %s %d %s but their databases differ"
+                   who l0 l did g what)
+          | Some _ -> None
+          | None ->
+              Hashtbl.replace seen g (l, h);
+              None)
+      (current grp ~alive)
+  in
+  List.find_map check (groups target)
+
 (* A closed-loop client: submits [count] transactions one at a time,
    resending (same sequence number — duplicates are suppressed
    downstream) with contact rotation on timeout. [on_commit time latency]

@@ -233,6 +233,32 @@ type client_target =
     [To_sharded] clients route per transaction: single-shard straight
     into the owning shard's TOB, cross-shard to the coordinator. *)
 
+(** {1 The cluster view}
+
+    A deployment is one or more replica groups, each delivering one total
+    order; agreement is per group. *)
+
+type group = {
+  members : loc list;
+  executes : loc -> bool;  (** An SMR spare only tracks seqnos. *)
+  cfg_of : loc -> int;
+  gseq_of : loc -> int;
+  hash_of : loc -> int;
+}
+
+val groups : client_target -> group list
+(** [To_pbr] and [To_smr] are one group; [To_sharded] is one group per
+    shard, in shard order. The 2PC coordinator is in no group. *)
+
+val current : group -> alive:(loc -> bool) -> loc list
+(** The members that are alive and at the newest configuration any of
+    them reached. *)
+
+val disagreement : client_target -> alive:(loc -> bool) -> string option
+(** The end-state agreement check: per group, two {!current} members
+    that execute, with equal [gseq_of] and different [hash_of], are
+    reported, naming both. *)
+
 val spawn_clients :
   world:wire Runtime.t ->
   target:client_target ->

@@ -262,6 +262,11 @@ let test_replay_restart_forward_gap () =
 (* ----------------------------- monitors ------------------------------ *)
 
 let test_monitors_agreement_violation () =
+  let agreement_flagged ?meta events =
+    List.exists
+      (fun (n, _) -> n = "conform-agreement")
+      (Conform.Monitors.check ?meta events).Conform.Monitors.m_violations
+  in
   let events =
     [
       deliver 0 1 0;
@@ -270,11 +275,17 @@ let test_monitors_agreement_violation () =
       checkpoint 1 1 ~gseq:1 ~seqno:0 ~hash:99;
     ]
   in
-  let r = Conform.Monitors.check events in
   Alcotest.(check bool) "fingerprint disagreement caught" true
-    (List.exists
-       (fun (n, _) -> n = "conform-agreement")
-       r.Conform.Monitors.m_violations)
+    (agreement_flagged events);
+  (* Nodes 0 and 1 in different groups: two total orders, each with its
+     own seqno 0, so different hashes there are no disagreement. *)
+  let two_groups = [ ("groups", "0;1") ] in
+  let r = Conform.Monitors.check ~meta:two_groups events in
+  Alcotest.(check (list (pair string string)))
+    "two groups' seqno 0 are different positions" []
+    r.Conform.Monitors.m_violations;
+  Alcotest.(check bool) "same group still caught" true
+    (agreement_flagged ~meta:[ ("groups", "0,1;2") ] events)
 
 let test_monitors_no_loss_violation () =
   let events = [ deliver 0 1 0; deliver 0 2 2 ] in
@@ -336,11 +347,20 @@ let test_online_crash_restart () =
 let test_online_agreement () =
   let o = Conform.Online.create () in
   let tap : string Runtime.tap = Conform.Online.tap o in
-  tap ~self:0 ~now:0.0 (Runtime.Ob_checkpoint { gseq = 1; seqno = 0; hash = 5 });
-  tap ~self:1 ~now:0.0 (Runtime.Ob_checkpoint { gseq = 1; seqno = 0; hash = 5 });
+  let checkpoint ~self ~group hash =
+    tap ~self ~now:0.0
+      (Runtime.Ob_checkpoint { group; gseq = 1; seqno = 0; hash })
+  in
+  checkpoint ~self:0 ~group:0 5;
+  checkpoint ~self:1 ~group:0 5;
   Alcotest.(check int) "agreeing fingerprints clean" 0
     (Conform.Online.violations o);
-  tap ~self:2 ~now:0.0 (Runtime.Ob_checkpoint { gseq = 1; seqno = 0; hash = 6 });
+  (* A second group's total order has its own seqno 0. *)
+  checkpoint ~self:3 ~group:1 7;
+  checkpoint ~self:4 ~group:1 7;
+  Alcotest.(check int) "another group's seqno 0 is its own" 0
+    (Conform.Online.violations o);
+  checkpoint ~self:2 ~group:0 6;
   Alcotest.(check bool) "disagreeing fingerprint flagged" true
     (Conform.Online.violations o > 0)
 

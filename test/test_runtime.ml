@@ -130,9 +130,30 @@ let bank_mix ~rows ~client ~seq =
   if seq mod 4 = 3 then Workload.Bank.balance ~account
   else Workload.Bank.deposit ~account ~amount:(1 + (seq mod 9))
 
-(* Run the bank workload on [loop] and return (commits, per-replica
-   content hashes of the executing replicas). Asserts completion, no
-   runtime errors, and replica state agreement. *)
+(* End-of-run state agreement with every node alive: no two replicas of
+   a group that executed the same prefix differ ({!S.disagreement}), and
+   the executing replicas of each group all reached one executed count.
+   Returns the replicas that executed. *)
+let check_agreement target =
+  Alcotest.(check (option string))
+    "state agreement" None
+    (S.disagreement target ~alive:(fun _ -> true));
+  List.concat_map
+    (fun g ->
+      let executed =
+        List.filter (fun l -> g.S.executes l && g.S.gseq_of l > 0) g.S.members
+      in
+      let counts = List.sort_uniq compare (List.map g.S.gseq_of executed) in
+      Alcotest.(check bool)
+        (Printf.sprintf "executing replicas reached one gseq (%s)"
+           (String.concat "/" (List.map string_of_int counts)))
+        true
+        (List.length counts <= 1);
+      executed)
+    (S.groups target)
+
+(* Run the bank workload on [loop] and return the commit count. Asserts
+   completion, no runtime errors, and replica state agreement. *)
 let run_smr_bank loop ~label ~clients ~count =
   let rows = 1_000 in
   let world = R.Loop.runtime loop in
@@ -178,25 +199,15 @@ let run_smr_bank loop ~label ~clients ~count =
     (Stats.Sample.percentile latencies 99.0 *. 1e3);
   (* The inactive spare tracks delivery sequence numbers but does not
      execute, so state agreement is defined over the active replicas. *)
-  let executed =
-    List.filter
-      (fun l -> cluster.S.smr_active_of l && cluster.S.smr_gseq_of l > 0)
-      cluster.S.smr_nodes
-  in
   Alcotest.(check bool)
     "at least two replicas executed" true
-    (List.length executed >= 2);
-  let hashes = List.map cluster.S.smr_hash_of executed in
-  (match hashes with
-  | h :: t ->
-      Alcotest.(check bool) "state agreement" true (List.for_all (( = ) h) t)
-  | [] -> Alcotest.fail "no replica executed");
-  (!commits, hashes)
+    (List.length (check_agreement (S.To_smr cluster)) >= 2);
+  !commits
 
 let test_loop_smr_bank () =
   let loop = R.Loop.create ~codec:S.wire_codec () in
   let clients = 4 and count = 30 in
-  let commits, _ = run_smr_bank loop ~label:"loop" ~clients ~count in
+  let commits = run_smr_bank loop ~label:"loop" ~clients ~count in
   Alcotest.(check bool)
     (Printf.sprintf "at least 100 transactions committed (got %d)" commits)
     true
@@ -258,18 +269,77 @@ let test_loop_pbr_socket ~style ~read_kinds () =
       Alcotest.(check bool) (name ^ " sent over the socket") true
         (Atomic.get n > 0))
     sent;
-  let executed =
-    List.filter (fun l -> cluster.S.pbr_gseq_of l > 0) cluster.S.pbr_replicas
-  in
-  Alcotest.(check bool) "a replica executed" true (executed <> []);
-  (match List.map cluster.S.pbr_hash_of executed with
-  | h :: t ->
-      Alcotest.(check bool) "state agreement" true (List.for_all (( = ) h) t)
-  | [] -> ());
+  Alcotest.(check bool)
+    "a replica executed" true
+    (check_agreement (S.To_pbr cluster) <> []);
   Alcotest.(check int)
     (Conform.Online.summary online)
     0
     (Conform.Online.violations online)
+
+(* Two shards over loopback sockets, with the online monitor and the
+   recorder on the tap. Each shard delivers its own total order, so
+   seqnos repeat across shards: agreement is per group, live (the
+   checkpoint names its shard) and offline (the trace's "groups" meta).
+   Every other transaction is a transfer, about half of them across
+   shards. *)
+let test_loop_sharded_socket () =
+  let rows = 1_000 and shards = 2 and clients = 4 and count = 50 in
+  let online = Conform.Online.create () in
+  let recorder =
+    Conform.Recorder.create
+      ~meta:[ ("workload", "bank"); ("runtime", "loop") ]
+      ()
+  in
+  let loop =
+    R.Loop.create ~direct:false
+      ~tap:
+        (R.tap_all
+           [
+             Conform.Recorder.tap recorder ~enc:S.wire_codec.R.enc;
+             Conform.Online.tap online;
+           ])
+      ~codec:S.wire_codec ()
+  in
+  let world = R.Loop.runtime loop in
+  let cluster =
+    S.spawn_sharded ~world ~registry:Workload.Bank.registry
+      ~setup:(fun s db -> Workload.Bank.setup_shard ~rows ~shards s db)
+      ~router:(Workload.Bank.router ~shards)
+      ()
+  in
+  let target = S.To_sharded cluster in
+  let make_txn ~client ~seq =
+    if seq mod 2 = 0 then
+      let src = abs (Hashtbl.hash (client, seq)) mod rows in
+      Workload.Bank.transfer ~src ~dst:((src + 1 + seq) mod rows) ~amount:1
+    else bank_mix ~rows ~client ~seq
+  in
+  let _, completed =
+    S.spawn_clients ~world ~target ~n:clients ~count ~make_txn
+      ~retry_timeout:2.0 ()
+  in
+  R.Loop.start loop;
+  let finished =
+    R.Loop.await ~timeout:120.0 loop (fun () -> completed () >= clients)
+  in
+  R.Loop.stop loop;
+  Alcotest.(check (list string)) "no runtime errors" [] (R.Loop.errors loop);
+  Alcotest.(check bool) "all clients finished" true finished;
+  Alcotest.(check bool) "some transfers crossed shards" true
+    (cluster.S.sh_committed () > 0);
+  Alcotest.(check int)
+    (Conform.Online.summary online)
+    0
+    (Conform.Online.violations online);
+  Alcotest.(check (option string))
+    "state agreement" None
+    (S.disagreement target ~alive:(fun _ -> true));
+  Conform.Recorder.add_meta recorder (Conform.Monitors.groups_meta target);
+  Alcotest.(check bool) "trace conformant" true
+    (Conform.Record.conformant
+       ~meta:(Conform.Recorder.meta recorder)
+       (Conform.Recorder.events recorder))
 
 (* ------------------------------------------------------------------ *)
 (* Loop runtime: crash/restart, outbox saturation.                     *)
@@ -614,6 +684,9 @@ let () =
             (test_loop_pbr_socket ~style:S.Primary_backup ~read_kinds:[]);
           Alcotest.test_case "chain over loopback sockets" `Quick
             (test_loop_pbr_socket ~style:S.Chain ~read_kinds:[ "balance" ]);
+          Alcotest.test_case
+            "sharded over loopback sockets with the online monitor" `Quick
+            test_loop_sharded_socket;
           Alcotest.test_case "crash/restart under the event loop" `Quick
             (test_loop_crash_restart ~direct:true);
           Alcotest.test_case "crash/restart over loopback sockets" `Quick

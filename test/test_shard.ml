@@ -243,7 +243,18 @@ let test_sharded_sim_smoke () =
   Alcotest.(check int) "all clients completed" n (completed ());
   Alcotest.(check bool) "some transfers crossed shards" true
     (cluster.Sdb.sh_committed () > 0);
-  (* per-shard replicas agree, and the freshest replicas conserve money *)
+  (* Per-shard replicas agree and reached one executed count, and the
+     freshest replicas conserve money. *)
+  let target = Sdb.To_sharded cluster in
+  Alcotest.(check (option string))
+    "shard replicas agree" None
+    (Sdb.disagreement target ~alive:(Engine.is_alive world));
+  List.iter
+    (fun g ->
+      let counts = List.sort_uniq compare (List.map g.Sdb.gseq_of g.Sdb.members) in
+      Alcotest.(check int) "shard replicas reached one gseq" 1
+        (List.length counts))
+    (Sdb.groups target);
   let total =
     Array.fold_left
       (fun acc (g : Sdb.smr_cluster) ->
@@ -255,18 +266,6 @@ let test_sharded_sim_smoke () =
               | _ -> Some l)
             None g.Sdb.smr_nodes
         in
-        let hashes =
-          List.filter_map
-            (fun l ->
-              if g.Sdb.smr_gseq_of l > 0 then Some (g.Sdb.smr_hash_of l)
-              else None)
-            g.Sdb.smr_nodes
-        in
-        (match hashes with
-        | h :: t ->
-            Alcotest.(check bool) "shard replicas agree" true
-              (List.for_all (( = ) h) t)
-        | [] -> ());
         acc
         + g.Sdb.smr_db_view (Option.get best) Bank.total_balance ~default:0)
       0 cluster.Sdb.sh_groups
